@@ -28,11 +28,12 @@ for preset in "${presets[@]}"; do
         "build/bench-artifacts/$artifact"
     done
   else
-    # Sanitizer presets focus on the concurrency-heavy fault suites and the
-    # wire codecs (the preset's own filter applies on top of the labels).
-    echo "==> [$preset] chaos + overload + codec + tree + persist + query suites"
+    # Sanitizer presets focus on the concurrency-heavy fault suites, the
+    # wire codecs and the control socket (the preset's own filter applies on
+    # top of the labels).
+    echo "==> [$preset] chaos + overload + codec + tree + persist + query + control suites"
     ctest --preset "$preset" --output-on-failure \
-      -L 'chaos|overload|codec|tree|persist|query'
+      -L 'chaos|overload|codec|tree|persist|query|control'
   fi
 done
 echo "==> all presets green"

@@ -1,5 +1,8 @@
 #include "daemon/config.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "daemon/decomp/decomp.hpp"
 #include "daemon/topology.hpp"
 #include "store/tsdb/tsdb_store.hpp"
@@ -25,6 +28,57 @@ std::optional<DurationNs> IntervalUsParam(const PluginParams& args,
   auto us = ParseU64(it->second);
   if (!us) return std::nullopt;
   return *us * kNsPerUs;
+}
+
+// Reply formatting for the `query` verb: numbers go straight into the reply
+// with std::to_chars, no per-token temporaries. A dashboard page runs to
+// hundreds of rows, so this is the verb's hot path.
+
+void AppendU64(std::string* out, std::uint64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Same bytes as std::to_string(double) ("%f"): fixed, six decimals, and
+/// "nan"/"-nan"/"inf"/"-inf" for non-finite values.
+void AppendDouble(std::string* out, double v) {
+  char buf[512];  // DBL_MAX in fixed notation is 316 characters
+  out->append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::fixed, 6)
+                       .ptr);
+}
+
+/// " <key><value>", e.g. AppendField(out, "rows=", 3) -> " rows=3".
+void AppendField(std::string* out, std::string_view key, std::uint64_t v) {
+  out->push_back(' ');
+  out->append(key);
+  AppendU64(out, v);
+}
+
+void AppendColumns(std::string* out, const std::vector<std::string>& columns) {
+  out->append("columns=");
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->append(columns[i]);
+  }
+}
+
+/// " row=<ts_us>:<node>:<v0>:<v1>...".
+void AppendRow(std::string* out, TimeNs ts, std::uint64_t node,
+               const std::vector<double>& values) {
+  AppendField(out, "row=", ts / kNsPerUs);
+  out->push_back(':');
+  AppendU64(out, node);
+  for (const double v : values) {
+    out->push_back(':');
+    AppendDouble(out, v);
+  }
+}
+
+/// Room for @p rows rows of @p columns values at typical widths, so a page
+/// is formatted with one or two allocations.
+void ReserveRows(std::string* out, std::size_t rows, std::size_t columns) {
+  out->reserve(out->size() + rows * (32 + 16 * columns));
 }
 
 }  // namespace
@@ -496,14 +550,24 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
     std::vector<TsdbRollupRow> rollups;
     Status st = tsdb->QueryRollup(q, &rollups);
     if (!st.ok()) return st;
-    *output = "buckets=" + std::to_string(rollups.size());
-    std::size_t emitted = 0;
-    for (const auto& r : rollups) {
-      if (emitted++ >= limit) break;
-      *output += " rollup=" + std::to_string(r.bucket / kNsPerUs) + ":" +
-                 std::to_string(r.node) + ":" + r.metric + ":" +
-                 std::to_string(r.min) + ":" + std::to_string(r.max) + ":" +
-                 std::to_string(r.avg) + ":" + std::to_string(r.count);
+    const std::size_t emit = std::min(limit, rollups.size());
+    output->clear();
+    output->reserve(16 + emit * 128);
+    output->append("buckets=");
+    AppendU64(output, rollups.size());
+    for (std::size_t i = 0; i < emit; ++i) {
+      const TsdbRollupRow& r = rollups[i];
+      AppendField(output, "rollup=", r.bucket / kNsPerUs);
+      output->push_back(':');
+      AppendU64(output, r.node);
+      output->push_back(':');
+      output->append(r.metric);
+      for (const double v : {r.min, r.max, r.avg}) {
+        output->push_back(':');
+        AppendDouble(output, v);
+      }
+      output->push_back(':');
+      AppendU64(output, r.count);
     }
     return Status::Ok();
   }
@@ -522,27 +586,21 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
     Status st = daemon_.FanoutQuery(req, &fanout);
     if (!st.ok()) return st;
     const QueryResponse& merged = fanout.merged;
-    std::string columns;
-    for (const auto& column : merged.columns) {
-      if (!columns.empty()) columns.push_back(',');
-      columns += column;
-    }
-    *output = "columns=" + columns +
-              " rows=" + std::to_string(merged.rows.size()) +
-              " total_rows=" + std::to_string(merged.total_rows) +
-              " truncated=" + std::to_string(merged.truncated) +
-              " leaves_ok=" + std::to_string(fanout.leaves_ok) +
-              " leaves_failed=" + std::to_string(fanout.leaves_failed) +
-              " segments_considered=" +
-              std::to_string(merged.segments_considered) +
-              " segments_pruned=" + std::to_string(merged.segments_pruned) +
-              " segments_read=" + std::to_string(merged.segments_read) +
-              " bytes_read=" + std::to_string(merged.bytes_read) +
-              " bytes_decoded=" + std::to_string(merged.bytes_decoded);
+    output->clear();
+    ReserveRows(output, merged.rows.size(), merged.columns.size());
+    AppendColumns(output, merged.columns);
+    AppendField(output, "rows=", merged.rows.size());
+    AppendField(output, "total_rows=", merged.total_rows);
+    AppendField(output, "truncated=", merged.truncated);
+    AppendField(output, "leaves_ok=", fanout.leaves_ok);
+    AppendField(output, "leaves_failed=", fanout.leaves_failed);
+    AppendField(output, "segments_considered=", merged.segments_considered);
+    AppendField(output, "segments_pruned=", merged.segments_pruned);
+    AppendField(output, "segments_read=", merged.segments_read);
+    AppendField(output, "bytes_read=", merged.bytes_read);
+    AppendField(output, "bytes_decoded=", merged.bytes_decoded);
     for (const auto& row : merged.rows) {
-      *output += " row=" + std::to_string(row.ts / kNsPerUs) + ":" +
-                 std::to_string(row.node);
-      for (const double v : row.values) *output += ":" + std::to_string(v);
+      AppendRow(output, row.ts, row.node, row.values);
     }
     return Status::Ok();
   }
@@ -552,24 +610,19 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
   TsdbQueryResult result;
   Status st = tsdb->Query(q, &result);
   if (!st.ok()) return st;
-  std::string columns;
-  for (const auto& column : result.columns) {
-    if (!columns.empty()) columns.push_back(',');
-    columns += column;
-  }
-  *output = "columns=" + columns +
-            " rows=" + std::to_string(result.rows.size()) +
-            " segments_considered=" + std::to_string(result.segments_considered) +
-            " segments_pruned=" + std::to_string(result.segments_pruned) +
-            " segments_read=" + std::to_string(result.segments_read) +
-            " bytes_read=" + std::to_string(result.bytes_read) +
-            " bytes_decoded=" + std::to_string(result.bytes_decoded);
-  std::size_t emitted = 0;
-  for (const auto& row : result.rows) {
-    if (emitted++ >= limit) break;
-    *output += " row=" + std::to_string(row.ts / kNsPerUs) + ":" +
-               std::to_string(row.node);
-    for (const double v : row.values) *output += ":" + std::to_string(v);
+  const std::size_t emit = std::min(limit, result.rows.size());
+  output->clear();
+  ReserveRows(output, emit, result.columns.size());
+  AppendColumns(output, result.columns);
+  AppendField(output, "rows=", result.rows.size());
+  AppendField(output, "segments_considered=", result.segments_considered);
+  AppendField(output, "segments_pruned=", result.segments_pruned);
+  AppendField(output, "segments_read=", result.segments_read);
+  AppendField(output, "bytes_read=", result.bytes_read);
+  AppendField(output, "bytes_decoded=", result.bytes_decoded);
+  for (std::size_t i = 0; i < emit; ++i) {
+    const TsdbQueryRow& row = result.rows[i];
+    AppendRow(output, row.ts, row.node, row.values);
   }
   return Status::Ok();
 }

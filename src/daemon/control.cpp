@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -13,6 +14,11 @@
 namespace ldmsxx {
 namespace {
 
+/// How long the server waits on a silent (or non-reading) client before it
+/// drops the connection. Clients are served one at a time, so without it one
+/// idle connection would hold off every later command.
+constexpr time_t kClientIdleTimeoutSec = 2;
+
 Status FillSockaddr(const std::string& path, sockaddr_un* addr) {
   if (path.size() + 1 > sizeof(addr->sun_path)) {
     return {ErrorCode::kInvalidArgument, "socket path too long: " + path};
@@ -23,12 +29,14 @@ Status FillSockaddr(const std::string& path, sockaddr_un* addr) {
   return Status::Ok();
 }
 
-/// Read until '\n' or EOF (commands and replies are single lines).
+/// Read until '\n' or EOF (commands and replies are single lines). Reads in
+/// 4 KB chunks, since a reply page runs to tens of KB. Bytes after the
+/// newline are dropped; a connection carries one reply.
 Status ReadLine(int fd, std::string* line) {
   line->clear();
-  char c;
+  char chunk[4096];
   for (;;) {
-    const ssize_t n = ::recv(fd, &c, 1, 0);
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n == 0) {
       return line->empty() ? Status{ErrorCode::kDisconnected, "EOF"}
                            : Status::Ok();
@@ -37,8 +45,13 @@ Status ReadLine(int fd, std::string* line) {
       if (errno == EINTR) continue;
       return {ErrorCode::kDisconnected, std::strerror(errno)};
     }
-    if (c == '\n') return Status::Ok();
-    line->push_back(c);
+    const auto* end = static_cast<const char*>(
+        std::memchr(chunk, '\n', static_cast<std::size_t>(n)));
+    if (end != nullptr) {
+      line->append(chunk, static_cast<std::size_t>(end - chunk));
+      return Status::Ok();
+    }
+    line->append(chunk, static_cast<std::size_t>(n));
   }
 }
 
@@ -111,7 +124,11 @@ void ControlServer::ServeLoop() {
       if (errno == EINTR) continue;
       break;  // listener closed
     }
-    // Control traffic is rare and tiny; serve inline.
+    // Serve inline, one client at a time; a client idle past the timeout is
+    // dropped so the next one gets served.
+    const timeval idle{kClientIdleTimeoutSec, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &idle, sizeof idle);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &idle, sizeof idle);
     ServeClient(fd);
     ::close(fd);
   }
@@ -130,7 +147,7 @@ void ControlServer::ServeClient(int fd) {
     if (n == 0) return;  // EOF; any partial line in `buffer` is dropped
     if (n < 0) {
       if (errno == EINTR) continue;
-      return;
+      return;  // includes the idle timeout (EAGAIN)
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;

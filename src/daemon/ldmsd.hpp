@@ -278,7 +278,8 @@ class Ldmsd final : public ServiceHandler {
   };
   /// Forward @p req to every producer's endpoint (the aggregation-tree
   /// leaves, in deterministic name order) and merge the result pages.
-  /// Returns Ok even when some leaves failed; the accounting says so.
+  /// Holds no producer lock across a query, so collection never waits on
+  /// one. Returns Ok even when some leaves failed; the accounting says so.
   Status FanoutQuery(const QueryRequest& req, FanoutResult* out);
 
   // --- introspection ------------------------------------------------------
@@ -379,7 +380,9 @@ class Ldmsd final : public ServiceHandler {
 
   struct Producer {
     ProducerConfig config;
-    std::unique_ptr<Endpoint> endpoint;
+    /// Shared so a fan-out query can keep using its copy after releasing mu
+    /// while a collect cycle drops or replaces the connection.
+    std::shared_ptr<Endpoint> endpoint;
     std::map<std::string, MirrorEntry> mirrors;
     bool connected = false;
     bool connecting = false;

@@ -198,7 +198,16 @@ class FaultEndpoint final : public Endpoint {
       case FaultKind::kStall:
         // One-way stall: the request was written but no response will ever
         // arrive; a real wire transport's deadline machinery converts that
-        // into kTimeout, so the decorator reports the same completion.
+        // into kTimeout, so the decorator reports the same completion. A
+        // query also waits out the deadline in real time, as its caller
+        // would on a wire: fan-out runs on the wall clock beside collection,
+        // and what a stalled query may hold up is what the tests check.
+        // Other ops fail at once so simulated-clock scenarios keep their
+        // pace.
+        if (op == FaultOp::kQuery) {
+          std::this_thread::sleep_for(
+              std::chrono::nanoseconds(request_timeout()));
+        }
         stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
         return {ErrorCode::kTimeout, "injected one-way stall"};
       case FaultKind::kDelay:

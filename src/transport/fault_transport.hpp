@@ -38,6 +38,7 @@ enum class FaultKind : std::uint8_t {
   kTruncate,       // response payload is cut short
   kCorrupt,        // response payload has bytes flipped
   kStall,          // response never arrives; request completes with kTimeout
+                   // (a query first waits out its request timeout)
 };
 
 /// Operation classes a fault can attach to.

@@ -1,5 +1,6 @@
 #include "transport/local_transport.hpp"
 
+#include <atomic>
 #include <chrono>
 
 namespace ldmsxx {
@@ -244,7 +245,7 @@ class LocalEndpoint final : public Endpoint {
   }
 
   std::shared_ptr<FabricNode> node_;
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace

@@ -364,6 +364,7 @@ void MiniCluster::AddSamplerProducer(Ldmsd& daemon, std::size_t i,
   pc.interval = options_.collect_interval;
   pc.reconnect_min_backoff = options_.reconnect_min_backoff;
   pc.reconnect_max_backoff = options_.reconnect_max_backoff;
+  pc.request_timeout = options_.request_timeout;
   pc.delta_updates = options_.delta_updates;
   pc.standby = standby;
   pc.standby_for = standby_for;
@@ -378,6 +379,7 @@ void MiniCluster::AddRootProducer(Ldmsd& daemon, std::size_t j) {
   pc.interval = options_.collect_interval;
   pc.reconnect_min_backoff = options_.reconnect_min_backoff;
   pc.reconnect_max_backoff = options_.reconnect_max_backoff;
+  pc.request_timeout = options_.request_timeout;
   pc.delta_updates = options_.delta_updates;
   // Dir discovery + periodic re-dir: a repaired shard re-served by a
   // surviving leaf shows up without reconfiguration.

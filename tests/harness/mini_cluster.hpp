@@ -42,6 +42,10 @@ struct MiniClusterOptions {
   DurationNs collect_interval = 100 * kNsPerMs;
   DurationNs reconnect_min_backoff = 10 * kNsPerMs;
   DurationNs reconnect_max_backoff = 400 * kNsPerMs;
+  /// Per-request deadline on every producer connection; 0 = the transport
+  /// default (kDefaultRequestTimeoutNs). Only waited out in real time by
+  /// stalled fan-out queries.
+  DurationNs request_timeout = 0;
   /// Seed for the fault schedule (and nothing else; daemon jitter streams
   /// are seeded from producer names).
   std::uint64_t seed = 1;

@@ -6,10 +6,16 @@
 // EXPERIMENTS.md ("Chaos suite") for the reproduction recipe.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <tuple>
 
 #include "harness/mini_cluster.hpp"
+#include "store/tsdb/tsdb_store.hpp"
 
 namespace ldmsxx {
 namespace {
@@ -172,6 +178,77 @@ TEST(ChaosTest, OneWayStallDoesNotWedgeOrDropConnection) {
   const auto gap = cluster.DataGap(0);
   EXPECT_GE(gap.rows, 10u);
   EXPECT_LE(gap.max_gap, 4 * kTick);  // 3 consecutive stalled pulls
+}
+
+// --- fan-out queries beside collection --------------------------------------
+
+TEST(ChaosTest, StalledLeafQueryNeverDelaysCollection) {
+  // Three leaves, each with a queryable store, behind the fault transport.
+  // One leaf's fan-out query stalls until its deadline. The fan-out must
+  // come back within about one timeout with that leaf counted as failed,
+  // and the root's collect cycles — through the stalled leaf too — must not
+  // wait for it.
+  MiniClusterOptions opts;
+  opts.samplers = 6;
+  opts.tree_leaves = 3;
+  opts.request_timeout = 1 * kNsPerSec;
+  MiniCluster cluster(opts);
+  std::string dir = "/tmp/ldmsxx_fanout_stall_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  for (std::size_t j = 0; j < opts.tree_leaves; ++j) {
+    TsdbOptions tsdb;
+    tsdb.root_path = dir + "/" + cluster.leaf_name(j);
+    StorePolicy policy(std::make_shared<TsdbStore>(tsdb));
+    policy.name = "tsdb";
+    ASSERT_TRUE(cluster.leaf(j).AddStorePolicy(std::move(policy)).ok());
+  }
+  cluster.Advance(1 * kNsPerSec);
+
+  QueryRequest req;
+  req.strgp = "tsdb";
+  req.table = "chaos";
+  req.limit = 1000;
+  Ldmsd::FanoutResult fan;
+  ASSERT_TRUE(cluster.root().FanoutQuery(req, &fan).ok());
+  ASSERT_EQ(fan.leaves_ok, 3u);
+  ASSERT_FALSE(fan.merged.rows.empty());
+
+  using Clock = std::chrono::steady_clock;
+  cluster.faults().InjectNext(FaultOp::kQuery, FaultKind::kStall);
+  std::atomic<bool> returned{false};
+  Status fan_status;
+  const auto fan_start = Clock::now();
+  Clock::time_point fan_end;
+  std::thread query([&] {
+    fan_status = cluster.root().FanoutQuery(req, &fan);
+    fan_end = Clock::now();
+    returned.store(true);
+  });
+  while (cluster.faults().stats().stalls.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Five collect cycles while one leaf's query is stalled.
+  const auto advance_start = Clock::now();
+  cluster.Advance(500 * kNsPerMs);
+  const auto advance_wall = Clock::now() - advance_start;
+  EXPECT_FALSE(returned.load()) << "collection waited for the stalled query";
+  EXPECT_LT(advance_wall, std::chrono::milliseconds(500))
+      << "collection waited for the stalled query";
+  query.join();
+
+  ASSERT_TRUE(fan_status.ok()) << fan_status.ToString();
+  EXPECT_EQ(fan.leaves_ok, 2u);
+  EXPECT_EQ(fan.leaves_failed, 1u);
+  EXPECT_LT(fan_end - fan_start, std::chrono::milliseconds(1500))
+      << "fan-out must be bounded by one request timeout";
+  EXPECT_EQ(cluster.faults().stats().stalls.load(), 1u);
+
+  cluster.Advance(500 * kNsPerMs);
+  for (std::size_t i = 0; i < opts.samplers; ++i) {
+    const auto gap = cluster.DataGap(i);
+    EXPECT_GE(gap.rows, 15u) << cluster.sampler_name(i);
+    EXPECT_LE(gap.max_gap, 2 * kTick) << cluster.sampler_name(i);
+  }
 }
 
 // --- scripted connection refusals -------------------------------------------

@@ -1,18 +1,28 @@
 // Control-socket tests: runtime configuration of a live daemon over the
 // UNIX domain socket (the paper's ldmsd control path), including the
 // on-the-fly interval change, error replies, and the new sampler plugins
-// driven end-to-end through the command language.
+// driven end-to-end through the command language. The framing tests pin the
+// client's reply reader (SendCommand) against large, dribbled, unterminated
+// and empty replies, and the server's idle-client timeout.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
+#include <future>
 #include <thread>
 
+#include "core/mem_manager.hpp"
+#include "core/metric_set.hpp"
+#include "core/schema.hpp"
 #include "daemon/control.hpp"
 #include "sampler/samplers.hpp"
 #include "sim/cluster.hpp"
+#include "store/tsdb/tsdb_store.hpp"
 
 namespace ldmsxx {
 namespace {
@@ -229,6 +239,154 @@ TEST_F(ControlTest, ConnectToMissingSocketFails) {
   EXPECT_FALSE(
       ControlServer::SendCommand("/tmp/ldmsxx_nonexistent.sock", "x", &reply)
           .ok());
+}
+
+// --- reply framing ----------------------------------------------------------
+
+/// Connect a UNIX stream socket to @p path; -1 on failure.
+int ConnectUnix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// A one-shot stand-in for a daemon's control socket: accepts one client,
+/// reads its command line, writes @p reply in @p piece-byte writes, then
+/// closes. Lets the tests shape replies no real daemon would send.
+class ScriptedServer {
+ public:
+  ScriptedServer(std::string reply, std::size_t piece)
+      : path_("/tmp/ldmsxx_ctl_script_" + std::to_string(::getpid()) +
+              ".sock") {
+    ::unlink(path_.c_str());
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    server_ = std::thread([this, reply = std::move(reply), piece] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      char c;
+      while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+      }
+      for (std::size_t off = 0; off < reply.size(); off += piece) {
+        const std::size_t n = std::min(piece, reply.size() - off);
+        if (::send(fd, reply.data() + off, n, MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(n)) {
+          break;
+        }
+        if (off % (64 * piece) == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+      ::close(fd);
+    });
+  }
+  ~ScriptedServer() {
+    server_.join();
+    ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  int listen_fd_ = -1;
+  std::thread server_;
+};
+
+TEST_F(ControlTest, QueryReplyLargerThan64KBArrivesIntact) {
+  std::string dir = "/tmp/ldmsxx_ctl_big_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  TsdbOptions topts;
+  topts.root_path = dir;
+  auto tsdb = std::make_shared<TsdbStore>(topts);
+  StorePolicy policy(tsdb);
+  policy.name = "big";
+  ASSERT_TRUE(daemon_->AddStorePolicy(std::move(policy)).ok());
+
+  Schema schema("bigtest");
+  schema.AddMetric("count", MetricType::kU64);
+  schema.AddMetric("load", MetricType::kD64);
+  MemManager mem(1 << 20);
+  Status st;
+  MetricSetPtr set =
+      MetricSet::Create(mem, schema, "nid7/bigtest", "nid7", 7, &st);
+  ASSERT_NE(set, nullptr) << st.ToString();
+  constexpr std::uint64_t kRows = 3000;
+  for (std::uint64_t i = 0; i < kRows; ++i) {
+    set->BeginTransaction();
+    set->SetU64(0, i * 1000003);
+    set->SetD64(1, static_cast<double>(i) / 7.0);
+    set->EndTransaction((i + 1) * kNsPerMs);
+    ASSERT_TRUE(tsdb->StoreSet(*set).ok());
+  }
+
+  const std::string command = "query strgp=big table=bigtest limit=3000";
+  std::string expected;
+  ConfigProcessor direct(*daemon_);
+  ASSERT_TRUE(direct.Execute(command, &expected).ok());
+  std::string reply;
+  ASSERT_TRUE(Send(command, &reply).ok()) << reply.substr(0, 200);
+  EXPECT_GT(reply.size(), 64u * 1024);
+  EXPECT_EQ(reply, "OK " + expected);
+  EXPECT_NE(reply.find("rows=3000 "), std::string::npos);
+}
+
+TEST(ControlFramingTest, ReplyWrittenInSmallPiecesIsReassembled) {
+  std::string line = "OK";
+  for (int i = 0; i < 2000; ++i) line += " key" + std::to_string(i) + "=1";
+  ScriptedServer server(line + "\n", 3);
+  std::string reply;
+  ASSERT_TRUE(ControlServer::SendCommand(server.path(), "counters", &reply)
+                  .ok());
+  EXPECT_EQ(reply, line);
+}
+
+TEST(ControlFramingTest, ReplyCutOffByEofIsReturnedAsIs) {
+  ScriptedServer server("OK partial reply", 4);
+  std::string reply;
+  ASSERT_TRUE(ControlServer::SendCommand(server.path(), "counters", &reply)
+                  .ok());
+  EXPECT_EQ(reply, "OK partial reply");
+}
+
+TEST(ControlFramingTest, EofWithNoReplyIsDisconnected) {
+  ScriptedServer server("", 1);
+  std::string reply;
+  const Status st =
+      ControlServer::SendCommand(server.path(), "counters", &reply);
+  EXPECT_EQ(st.code(), ErrorCode::kDisconnected) << st.ToString();
+  EXPECT_TRUE(reply.empty());
+}
+
+TEST_F(ControlTest, SilentClientDoesNotWedgeTheSocket) {
+  // The server serves one client at a time. A client that connects and
+  // never sends a newline is dropped after the idle timeout, so the next
+  // command still gets its answer.
+  const int idle = ConnectUnix(socket_path_);
+  ASSERT_GE(idle, 0);
+  ASSERT_EQ(::send(idle, "coun", 4, MSG_NOSIGNAL), 4);
+  auto answer = std::async(std::launch::async, [this] {
+    std::string reply;
+    const Status st = Send("counters", &reply);
+    return st.ok() ? reply : st.ToString();
+  });
+  const bool answered =
+      answer.wait_for(std::chrono::seconds(15)) == std::future_status::ready;
+  ::close(idle);  // unwedges the server if the timeout is missing
+  ASSERT_TRUE(answered) << "a silent client wedged the control socket";
+  EXPECT_EQ(answer.get().rfind("OK samples=", 0), 0u);
 }
 
 }  // namespace

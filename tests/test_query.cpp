@@ -1248,5 +1248,85 @@ TEST_F(DaemonQueryTest, FanoutQueryMergesLeavesAndSurvivesLeafDeath) {
   }
 }
 
+TEST_F(DaemonQueryTest, QueryVerbValueFormatIsByteExact) {
+  // The `query` verb's rows, fanout and rollup outputs print doubles the way
+  // std::to_string ("%f") always has; dashboards parse these bytes. Pin them
+  // for the awkward values: fractions, negatives, -0.0, magnitudes far past
+  // 2^64, NaN of both signs and both infinities.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double loads[] = {0.1, -2.5, -0.0, 1e300, kNan, -kNan, kInf, -kInf};
+  const std::uint64_t actives[] = {0, 7, 1, ~0ull, 3, 5, 123456789, 42};
+
+  auto leaf = MakeDaemon("fmtleaf", "dqfmt/leaf");
+  ASSERT_TRUE(leaf->Start().ok());
+  ConfigProcessor leaf_cfg(*leaf);
+  ASSERT_TRUE(leaf_cfg
+                  .Execute("strgp_add name=tsdb plugin=store_tsdb path=" +
+                           dir_ + "/fmt segment_rows=4 rollup_sec=1")
+                  .ok());
+  MetricSetPtr set = MakeSet("fmtleaf", 9);
+  for (std::size_t i = 0; i < std::size(loads); ++i) {
+    WriteSample(set, actives[i], 1000 + i, loads[i],
+                static_cast<TimeNs>(i + 1) * 250 * kNsPerMs);
+    leaf->StoreLocalSet(set);
+  }
+
+  // 1e300 printed in full, as "%f" does.
+  const std::string big =
+      "1000000000000000052504760255204420248704468581108159154915854115511802"
+      "4579889081957863713750804478640437044438328838781769425232353604305756"
+      "4479218478670698284838720092657580373783023379478809005936895323497079"
+      "9945081119038967640880074652742780142494579258788820056842838115669472"
+      "196386865459400540160.000000";
+  const std::string rows =
+      " row=250000:9:0.000000:1000.000000:0.100000"
+      " row=500000:9:7.000000:1001.000000:-2.500000"
+      " row=750000:9:1.000000:1002.000000:-0.000000"
+      " row=1000000:9:18446744073709551616.000000:1003.000000:" + big +
+      " row=1250000:9:3.000000:1004.000000:nan"
+      " row=1500000:9:5.000000:1005.000000:-nan"
+      " row=1750000:9:123456789.000000:1006.000000:inf"
+      " row=2000000:9:42.000000:1007.000000:-inf";
+  auto row_tokens = [](const std::string& out) {
+    const std::size_t first = out.find(" row=");
+    return first == std::string::npos ? std::string() : out.substr(first);
+  };
+
+  std::string out;
+  ASSERT_TRUE(
+      leaf_cfg.Execute("query strgp=tsdb table=memtest limit=100", &out).ok());
+  EXPECT_EQ(row_tokens(out), rows) << out;
+
+  ASSERT_TRUE(leaf_cfg
+                  .Execute("query strgp=tsdb table=memtest mode=rollup "
+                           "metrics=load limit=100",
+                           &out)
+                  .ok());
+  EXPECT_EQ(out, "buckets=3"
+                 " rollup=0:9:load:-2.500000:0.100000:-0.800000:3"
+                 " rollup=1000000:9:load:" + big + ":inf:-nan:4"
+                 " rollup=2000000:9:load:-inf:-inf:-inf:1");
+
+  auto root = MakeDaemon("fmtroot");
+  ASSERT_TRUE(root->Start().ok());
+  ConfigProcessor root_cfg(*root);
+  ASSERT_TRUE(root_cfg
+                  .Execute("prdcr_add name=fmtleaf xprt=local host=dqfmt/leaf "
+                           "interval=100000")
+                  .ok());
+  root->RunUntil(clock_, clock_.Now() + kNsPerSec);  // connect cycles
+  ASSERT_TRUE(root_cfg
+                  .Execute("query strgp=tsdb table=memtest mode=fanout "
+                           "limit=100",
+                           &out)
+                  .ok());
+  EXPECT_NE(out.find("leaves_ok=1 leaves_failed=0"), std::string::npos) << out;
+  EXPECT_EQ(row_tokens(out), rows) << out;
+
+  root->Stop();
+  leaf->Stop();
+}
+
 }  // namespace
 }  // namespace ldmsxx
