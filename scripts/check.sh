@@ -19,6 +19,11 @@ for preset in "${presets[@]}"; do
   if [ "$preset" = default ]; then
     echo "==> [$preset] full test suite"
     ctest --preset "$preset" --output-on-failure
+    # perfbench/ is a frozen harness compiled against src/; build it (without
+    # running it) so an interface change that breaks it fails here.
+    echo "==> [$preset] perfbench build"
+    cmake -S perfbench -B build/perfbench >/dev/null
+    cmake --build build/perfbench --target perfbench -j "$(nproc)"
     echo "==> [$preset] bench smoke (crash check + JSON artifacts)"
     scripts/bench_smoke.sh build build/bench-artifacts
     echo "==> [$preset] bench regression gate (scale-free metrics vs baseline)"

@@ -645,12 +645,10 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   const std::uint64_t t0 = NowSteadyNs();
   bool any_failure = false;
   std::vector<std::string> stale_mirrors;
-  // One batched pull for all of this producer's sets (the tentpole of the
-  // batch protocol): handle-addressed sets travel in a single
-  // kUpdateBatchReq frame — one request frame per producer per cycle instead
-  // of one per set — and sets whose DGN has not advanced come back as 5-byte
-  // "unchanged" markers instead of full chunks. Legacy peers (version 0) fall
-  // back to pipelined per-set updates inside the same call. The spec/result
+  // One batched pull for all of this producer's sets: handle-addressed sets
+  // travel in a single kUpdateBatchReq frame — one request frame per
+  // producer per cycle — and sets whose DGN has not advanced come back as
+  // 5-byte "unchanged" markers instead of full chunks. The spec/result
   // vectors live on the producer so steady-state cycles reuse capacity.
   const std::size_t n = producer.mirrors.size();
   auto& specs = producer.batch_specs;
@@ -673,6 +671,8 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
       ep_stats.bytes_tx.load(std::memory_order_relaxed) +
       ep_stats.bytes_rx.load(std::memory_order_relaxed);
   producer.endpoint->UpdateBatch(specs, &results);
+  producer.updates_batched += n;
+  counters_.updates_batched.fetch_add(n, std::memory_order_relaxed);
   // The batch call is synchronous; the endpoint is quiescent for this cycle,
   // so the per-result bookkeeping below (including endpoint.reset()) is safe.
   const std::uint64_t wire_delta =
@@ -685,10 +685,6 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
   for (std::size_t i = 0; i < n; ++i) {
     Endpoint::BatchUpdateResult& result = results[i];
     MirrorEntry& mirror = *entries[i];
-    if (result.batched) {
-      ++producer.updates_batched;
-      counters_.updates_batched.fetch_add(1, std::memory_order_relaxed);
-    }
     Status st = std::move(result.status);
     if (st.ok() && !result.unchanged) {
       std::lock_guard<std::mutex> set_lock(*mirror.mu);
@@ -722,7 +718,7 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
         log_.Warn("set ", specs[i].instance, " changed schema on ",
                   producer.config.name, "; re-looking up");
         stale_mirrors.push_back(specs[i].instance);
-      } else if (result.batched && st.code() == ErrorCode::kNotFound) {
+      } else if (st.code() == ErrorCode::kNotFound) {
         // The peer no longer knows this handle (it restarted, or the set was
         // dropped and re-registered). Re-lookup refreshes the handle without
         // discarding the mirror.
@@ -732,7 +728,7 @@ void Ldmsd::CollectCycle(const std::shared_ptr<Producer>& producer_ptr) {
     }
     if (result.unchanged) {
       // The producer's DGN gate answered "no new sample" without shipping
-      // the chunk — same outcome as the legacy gn == last_gn check below.
+      // the chunk — same outcome as the gn == last_gn check below.
       ++producer.updates_unchanged;
       counters_.updates_unchanged.fetch_add(1, std::memory_order_relaxed);
       counters_.updates_no_new_data.fetch_add(1, std::memory_order_relaxed);
@@ -797,16 +793,6 @@ Status Ldmsd::HandleLookup(const std::string& instance,
   auto bytes = set->metadata_bytes();
   metadata->assign(bytes.begin(), bytes.end());
   return Status::Ok();
-}
-
-Status Ldmsd::HandleUpdate(const std::string& instance,
-                           std::vector<std::byte>* data) {
-  MetricSetPtr set = sets_.Find(instance);
-  if (set == nullptr) {
-    return {ErrorCode::kNotFound, "no such set: " + instance};
-  }
-  data->resize(set->data_size());
-  return set->SnapshotData(*data);
 }
 
 void Ldmsd::HandleAdvertise(const AdvertiseMsg& msg) {

@@ -135,8 +135,8 @@ class Ldmsd final : public ServiceHandler {
     std::atomic<std::uint64_t> updates_ok{0};
     std::atomic<std::uint64_t> updates_no_new_data{0};
     std::atomic<std::uint64_t> updates_failed{0};
-    /// Per-set pulls that travelled inside a kUpdateBatchReq frame instead
-    /// of their own request frame.
+    /// Per-set pulls issued; each rides in its producer's one batch pull per
+    /// cycle (failed ones included).
     std::atomic<std::uint64_t> updates_batched{0};
     /// Pulls the producer answered with the 5-byte DGN-gate marker (no new
     /// sample), so no data chunk crossed the wire.
@@ -255,8 +255,6 @@ class Ldmsd final : public ServiceHandler {
   std::vector<std::string> HandleDir() override;
   Status HandleLookup(const std::string& instance,
                       std::vector<std::byte>* metadata) override;
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override;
   void HandleAdvertise(const AdvertiseMsg& msg) override;
   MetricSetPtr HandleRdmaExpose(const std::string& instance) override;
   std::uint32_t HandleAssignHandle(const std::string& instance) override;
@@ -371,7 +369,8 @@ class Ldmsd final : public ServiceHandler {
     MetricSetPtr set;
     std::uint64_t last_gn = 0;
     /// Compact handle the producer assigned at lookup for batch-addressed
-    /// pulls; kInvalidSetHandle against legacy peers. Refreshed on every
+    /// pulls; kInvalidSetHandle over one-sided transports, which address by
+    /// instance name. Refreshed on every
     /// (re-)lookup, since a producer restart invalidates old handles.
     std::uint32_t handle = kInvalidSetHandle;
     /// Serializes ApplyData against StoreSet.

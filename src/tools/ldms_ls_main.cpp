@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", instance.c_str());
     if (!long_listing) continue;
     std::vector<std::byte> metadata;
-    if (Status st = endpoint->Lookup(instance, &metadata); !st.ok()) {
+    Endpoint::LookupExtra extra;
+    if (Status st = endpoint->LookupEx(instance, &metadata, &extra); !st.ok()) {
       std::fprintf(stderr, "  lookup failed: %s\n", st.ToString().c_str());
       continue;
     }
@@ -71,7 +72,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "  bad metadata: %s\n", st.ToString().c_str());
       continue;
     }
-    if (Status upd = endpoint->Update(instance, *mirror); !upd.ok()) {
+    if (Status upd = endpoint->Update(instance, extra.handle, *mirror);
+        !upd.ok()) {
       std::fprintf(stderr, "  update failed: %s\n", upd.ToString().c_str());
       continue;
     }

@@ -49,26 +49,6 @@ class FaultEndpoint final : public Endpoint {
     return st;
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
-    Status st = Intercept(FaultOp::kLookup, metadata, [&] {
-      return inner_->Lookup(instance, metadata);
-    });
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    Status st = Intercept(FaultOp::kUpdate, data, [&] {
-      return inner_->UpdateRaw(instance, data);
-    });
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
   Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
                   LookupExtra* extra) override {
     if (extra != nullptr) *extra = LookupExtra{};
@@ -80,9 +60,8 @@ class FaultEndpoint final : public Endpoint {
     return st;
   }
 
-  // Batched pull under fault injection. One Decision is drawn per entry — the
-  // same number and order of kUpdate draws as the per-set protocol, so seeded
-  // chaos runs stay aligned whether batching is on or off. Frame semantics
+  // Batched pull under fault injection. One Decision is drawn per entry, so
+  // the seeded stream advances with the number of sets pulled. Frame semantics
   // decide the blast radius: a drawn disconnect or stall kills/steals the
   // whole batch frame (every entry fails), while truncate/corrupt mangle only
   // that entry's chunk within an otherwise-delivered response.
@@ -133,7 +112,7 @@ class FaultEndpoint final : public Endpoint {
     if (max_delay > 0) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(max_delay));
     }
-    // The inner endpoint is the one that negotiates deltas; keep its knob in
+    // The inner endpoint is the one that declares deltas; keep its knob in
     // lockstep with the decorator's so tests toggling the outer endpoint get
     // the path they asked for.
     inner_->set_delta_updates(delta_updates());
@@ -174,9 +153,6 @@ class FaultEndpoint final : public Endpoint {
     if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
     return st;
   }
-
-  void CorkWrites() override { inner_->CorkWrites(); }
-  void UncorkWrites() override { inner_->UncorkWrites(); }
 
  private:
   /// Common fault wrapper. @p payload is the response buffer truncation and

@@ -56,12 +56,17 @@ class LocalEndpoint final : public Endpoint {
     });
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
+  Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
+                  LookupExtra* extra) override {
+    if (extra != nullptr) *extra = LookupExtra{};
     if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
     Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
       const std::uint64_t t0 = NowSteadyNs();
       Status inner = h->HandleLookup(instance, metadata);
+      // The handle rides in the lookup response on the wire, as for sock.
+      if (inner.ok() && extra != nullptr) {
+        extra->handle = h->HandleAssignHandle(instance);
+      }
       ChargeServer(srv, NowSteadyNs() - t0);
       Account(kFrameHeaderSize + 2 + instance.size(),
               kFrameHeaderSize + 5 + metadata->size(), srv);
@@ -69,39 +74,6 @@ class LocalEndpoint final : public Endpoint {
     });
     stats_.lookups.fetch_add(1, std::memory_order_relaxed);
     if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
-    Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
-      const std::uint64_t t0 = NowSteadyNs();
-      Status inner = h->HandleUpdate(instance, data);
-      ChargeServer(srv, NowSteadyNs() - t0);
-      Account(kFrameHeaderSize + 2 + instance.size(),
-              kFrameHeaderSize + 5 + data->size(), srv);
-      return inner;
-    });
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    if (!st.ok()) stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
-
-  Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
-                  LookupExtra* extra) override {
-    if (extra != nullptr) *extra = LookupExtra{};
-    Status st = Lookup(instance, metadata);
-    if (!st.ok() || extra == nullptr) return st;
-    // The version/handle ride in the lookup response's trailing bytes on the
-    // wire; in-process we ask the handler directly. A legacy handler returns
-    // no handle, which keeps the peer at version 0.
-    node_->WithHandler([&](ServiceHandler* h, TransportStats*) {
-      extra->handle = h->HandleAssignHandle(instance);
-      extra->version =
-          extra->handle != kInvalidSetHandle ? kBatchProtocolVersion : 0;
-      return Status::Ok();
-    });
     return st;
   }
 
@@ -119,20 +91,10 @@ class LocalEndpoint final : public Endpoint {
     // One modeled request frame for the whole batch (12 bytes per entry),
     // one response frame whose size depends on what each entry answered.
     std::uint64_t resp_bytes = kFrameHeaderSize + 5;
-    std::size_t batched_entries = 0;
     Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
       const std::uint64_t t0 = NowSteadyNs();
       for (std::size_t i = 0; i < n; ++i) {
         BatchUpdateResult& r = (*results)[i];
-        if (specs[i].handle == kInvalidSetHandle) {
-          // No handle (set never looked up via LookupEx): legacy per-set
-          // semantics inside the same fabric call.
-          r.status = h->HandleUpdate(specs[i].instance, &r.data);
-          resp_bytes += kFrameHeaderSize + 5 + r.data.size();
-          continue;
-        }
-        r.batched = true;
-        ++batched_entries;
         MetricSetPtr set = h->HandleResolveHandle(specs[i].handle);
         if (set == nullptr) {
           r.status = {ErrorCode::kNotFound, "unknown set handle"};
@@ -182,8 +144,7 @@ class LocalEndpoint final : public Endpoint {
       }
       ChargeServer(srv, NowSteadyNs() - t0);
       // +1: the request's trailing client-version byte.
-      Account(kFrameHeaderSize + 4 + 12 * batched_entries + 1, resp_bytes,
-              srv);
+      Account(kFrameHeaderSize + 4 + 12 * n + 1, resp_bytes, srv);
       if (srv != nullptr) {
         srv->update_batches.fetch_add(1, std::memory_order_relaxed);
         srv->updates.fetch_add(n, std::memory_order_relaxed);

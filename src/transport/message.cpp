@@ -68,8 +68,6 @@ std::vector<std::byte> EncodeLookupResponse(const LookupResponse& msg) {
   ByteWriter w;
   w.U8(msg.code);
   w.Bytes(msg.metadata);
-  // Trailing extension: pre-batch decoders stop after the metadata bytes and
-  // never look at these (ByteReader only faults on overrun).
   w.U8(msg.version);
   w.U32(msg.handle);
   return w.Take();
@@ -80,41 +78,8 @@ bool DecodeLookupResponse(std::span<const std::byte> payload,
   ByteReader r(payload);
   out->code = r.U8();
   out->metadata = r.Bytes();
-  if (r.ok() && r.remaining() >= 5) {
-    out->version = r.U8();
-    out->handle = r.U32();
-  } else {
-    out->version = 0;
-    out->handle = kInvalidSetHandle;
-  }
-  return r.ok();
-}
-
-std::vector<std::byte> EncodeUpdateRequest(const UpdateRequest& msg) {
-  ByteWriter w;
-  w.Str(msg.instance);
-  return w.Take();
-}
-
-bool DecodeUpdateRequest(std::span<const std::byte> payload,
-                         UpdateRequest* out) {
-  ByteReader r(payload);
-  out->instance = r.Str();
-  return r.ok();
-}
-
-std::vector<std::byte> EncodeUpdateResponse(const UpdateResponse& msg) {
-  ByteWriter w;
-  w.U8(msg.code);
-  w.Bytes(msg.data);
-  return w.Take();
-}
-
-bool DecodeUpdateResponse(std::span<const std::byte> payload,
-                          UpdateResponse* out) {
-  ByteReader r(payload);
-  out->code = r.U8();
-  out->data = r.Bytes();
+  out->version = r.U8();
+  out->handle = r.U32();
   return r.ok();
 }
 
@@ -152,8 +117,6 @@ std::vector<std::byte> EncodeUpdateBatchRequest(const UpdateBatchRequest& msg) {
     w.U32(e.handle);
     w.U64(e.last_dgn);
   }
-  // Trailing client-revision byte; v1 decoders read their entries and never
-  // look at it (ByteReader only faults on overrun).
   w.U8(msg.version);
   return w.Take();
 }
@@ -178,8 +141,7 @@ bool DecodeUpdateBatchRequest(std::span<const std::byte> payload,
     if (!seen.insert(e.handle).second) return false;
     out->entries.push_back(e);
   }
-  // Absent trailing byte = a v1 client that never learned to decode kDelta.
-  out->version = r.ok() && r.remaining() >= 1 ? r.U8() : 1;
+  out->version = r.U8();
   return r.ok();
 }
 

@@ -1,6 +1,7 @@
 // Wire protocol between ldmsd peers, mirroring the paper's Figure 2 flows:
-// dir (set discovery), lookup (returns the metadata chunk once), update
-// (pulls only the data chunk each interval), plus an advertise control
+// dir (set discovery), lookup (returns the metadata chunk and a set handle
+// once), update (one batch frame per producer per interval pulls only the
+// data chunks, by handle), plus an advertise control
 // message supporting connection initiation from the sampler side
 // ("mechanisms to enable initiation of a connection from either side",
 // §IV-B).
@@ -18,34 +19,25 @@
 
 namespace ldmsxx {
 
+// Values are pinned: they are wire bytes. 5 and 6 belonged to the retired
+// per-set update frames; a server drops them like any unknown type.
 enum class MsgType : std::uint8_t {
   kDirReq = 1,
-  kDirResp,
-  kLookupReq,
-  kLookupResp,
-  kUpdateReq,
-  kUpdateResp,
-  kAdvertise,  // sampler -> aggregator: "connect back to me"
-  kUpdateBatchReq,   // aggregator -> producer: (handle, last_dgn) pairs
-  kUpdateBatchResp,  // producer -> aggregator: data / unchanged / error entries
-  kQueryReq,   // aggregator -> leaf: run a tsdb predicate on your local store
-  kQueryResp,  // leaf -> aggregator: bounded result page + scan counters
+  kDirResp = 2,
+  kLookupReq = 3,
+  kLookupResp = 4,
+  kAdvertise = 7,         // sampler -> aggregator: "connect back to me"
+  kUpdateBatchReq = 8,    // aggregator -> producer: (handle, last_dgn) pairs
+  kUpdateBatchResp = 9,   // producer -> aggregator: data/unchanged/delta/error
+  kQueryReq = 10,   // aggregator -> leaf: run a tsdb predicate on your store
+  kQueryResp = 11,  // leaf -> aggregator: bounded result page + scan counters
 };
 
-/// Protocol revision advertised in the trailing bytes of a lookup response.
-/// Version >= 1 peers understand kUpdateBatchReq; version 0 (or a response
-/// with no trailing bytes at all, i.e. a pre-batch peer) means the client
-/// must stick to per-set kUpdateReq frames — old servers silently drop
-/// unknown frame types, which would otherwise turn into request timeouts.
-/// Version >= 2 peers additionally understand kDelta batch-response entries;
-/// a client declares its own revision in a trailing byte of the batch
-/// request (absent = version 1), and the server only emits kDelta entries to
-/// clients that declared >= kDeltaProtocolVersion. Both extensions ride in
-/// ignored-by-old-decoders trailing bytes, so every version pairing
-/// interoperates (worst case: full chunks).
+/// Protocol revision a server reports in every successful lookup response.
+/// A client declares its own revision in the batch request's last byte:
+/// kDeltaProtocolVersion lets the server answer with kDelta entries, 1 asks
+/// for full chunks only (the `delta=0` escape hatch).
 constexpr std::uint8_t kBatchProtocolVersion = 2;
-/// Minimum peer revision at which the batch protocol itself is usable.
-constexpr std::uint8_t kMinBatchProtocolVersion = 1;
 /// Minimum declared client revision at which a server may answer kDelta.
 constexpr std::uint8_t kDeltaProtocolVersion = 2;
 
@@ -76,32 +68,22 @@ struct LookupRequest {
   std::string instance;
 };
 
+/// Wire form: u8 code | u32 len, metadata | u8 version | u32 handle. The
+/// handle addresses the set in batch pulls; version and handle are required
+/// (a response without them is malformed).
 struct LookupResponse {
   std::uint8_t code = 0;
   std::vector<std::byte> metadata;
-  // Trailing optional fields (appended after metadata). Old decoders ignore
-  // trailing bytes; new decoders treat their absence as version 0 / no
-  // handle, so the extension is wire-compatible in both directions.
   std::uint8_t version = 0;
   std::uint32_t handle = kInvalidSetHandle;
 };
 
-struct UpdateRequest {
-  std::string instance;
-};
-
-struct UpdateResponse {
-  std::uint8_t code = 0;
-  std::vector<std::byte> data;
-};
-
 /// One batched pull for every set on a producer. Wire form:
-///   u32 count | count x (u32 handle, u64 last_dgn) | [u8 version]
+///   u32 count | count x (u32 handle, u64 last_dgn) | u8 version
 /// The decoder rejects duplicate handles — response entries are keyed by
-/// handle, so a duplicate would make the reply ambiguous. The trailing
-/// version byte declares the client's protocol revision (v1 encoders omit
-/// it; decoders treat absence as 1): it is what authorizes the server to
-/// answer with kDelta entries.
+/// handle, so a duplicate would make the reply ambiguous. The required last
+/// byte declares the client's protocol revision: it is what authorizes the
+/// server to answer with kDelta entries.
 struct UpdateBatchRequest {
   struct Entry {
     std::uint32_t handle = kInvalidSetHandle;
@@ -149,8 +131,8 @@ struct UpdateBatchResponse {
 ///   str strgp | str table | u64 t0 | u64 t1 |
 ///   u32 nnodes | nnodes x u64 | u32 nmetrics | nmetrics x str |
 ///   u32 limit | [u8 version]
-/// The trailing version byte follows the lookup-response idiom: old
-/// decoders stop at limit and ignore it; its absence decodes as version 0.
+/// Old decoders stop at limit and ignore the trailing version byte; its
+/// absence decodes as version 0.
 struct QueryRequest {
   std::string strgp;  ///< storage policy name the store is registered under
   std::string table;
@@ -202,8 +184,8 @@ struct AdvertiseMsg {
   std::string producer;
   std::string dialback_address;  // where the aggregator should connect
   std::string transport;         // transport plugin name for dialback
-  /// Trailing extension (same idiom as the lookup-response version byte:
-  /// old decoders stop after the three strings and ignore these). announce
+  /// Trailing extension (old decoders stop after the three strings and
+  /// ignore these). announce
   /// upgrades a plain advertise to self-assembly: "place me in the
   /// aggregation tree" — the receiving seed aggregator consults its
   /// TreeManager, assigns a leaf, and persists the assignment. node_id is
@@ -229,13 +211,6 @@ bool DecodeLookupRequest(std::span<const std::byte> payload, LookupRequest* out)
 std::vector<std::byte> EncodeLookupResponse(const LookupResponse& msg);
 bool DecodeLookupResponse(std::span<const std::byte> payload,
                           LookupResponse* out);
-
-std::vector<std::byte> EncodeUpdateRequest(const UpdateRequest& msg);
-bool DecodeUpdateRequest(std::span<const std::byte> payload, UpdateRequest* out);
-
-std::vector<std::byte> EncodeUpdateResponse(const UpdateResponse& msg);
-bool DecodeUpdateResponse(std::span<const std::byte> payload,
-                          UpdateResponse* out);
 
 std::vector<std::byte> EncodeAdvertise(const AdvertiseMsg& msg);
 bool DecodeAdvertise(std::span<const std::byte> payload, AdvertiseMsg* out);

@@ -58,8 +58,11 @@ class RdmaEndpoint final : public Endpoint {
     });
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
+  // Lookup pins the set; pulls address it by instance name, so no handle is
+  // returned.
+  Status LookupEx(const std::string& instance, std::vector<std::byte>* metadata,
+                  LookupExtra* extra) override {
+    if (extra != nullptr) *extra = LookupExtra{};
     if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
     Status st = node_->WithHandler([&](ServiceHandler* h, TransportStats* srv) {
       const std::uint64_t t0 = NowSteadyNs();
@@ -85,36 +88,8 @@ class RdmaEndpoint final : public Endpoint {
     return st;
   }
 
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    if (closed_) return {ErrorCode::kDisconnected, "endpoint closed"};
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    // One-sided read path: a dead peer means the "NIC" no longer responds,
-    // even though the pinned memory is still reachable in-process.
-    if (!node_->alive()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kDisconnected, "peer is down"};
-    }
-    auto it = pinned_.find(instance);
-    if (it == pinned_.end()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return {ErrorCode::kNotFound, "set not looked up: " + instance};
-    }
-    if (options_.read_latency_ns > 0) SpinFor(options_.read_latency_ns);
-    const MetricSet& target = *it->second;
-    data->resize(target.data_size());
-    Status st = target.SnapshotData(*data);
-    if (!st.ok()) {
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      return st;
-    }
-    stats_.bytes_rx.fetch_add(data->size(), std::memory_order_relaxed);
-    // Deliberately NOT charged to the peer's server_cpu_ns: one-sided.
-    return Status::Ok();
-  }
-
-  // One-sided batch pull. RDMA needs no set handles or version negotiation —
-  // the endpoint reads pinned memory directly — but it benefits from the same
+  // One-sided batch pull. RDMA needs no set handles — the endpoint reads
+  // pinned memory directly — but it benefits from the same
   // DGN gate: an 8-byte read of the header's generation number decides
   // whether the full chunk is fetched, so quiescent sets cost one tiny read
   // instead of the whole data chunk. Server CPU stays uncharged throughout.
@@ -137,7 +112,6 @@ class RdmaEndpoint final : public Endpoint {
     }
     for (std::size_t i = 0; i < n; ++i) {
       BatchUpdateResult& r = (*results)[i];
-      r.batched = true;
       auto it = pinned_.find(specs[i].instance);
       if (it == pinned_.end()) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);

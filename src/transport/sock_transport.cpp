@@ -202,8 +202,8 @@ class SockListener final : public Listener {
     /// compacted lazily, so steady state reuses its capacity.
     std::vector<std::byte> wbuf;
     std::size_t woff = 0;
-    /// Scratch for handler payloads (lookup metadata, legacy update chunks);
-    /// reused across frames so the per-response allocation disappears.
+    /// Scratch for lookup metadata; reused across frames so the
+    /// per-response allocation disappears.
     std::vector<std::byte> scratch;
   };
 
@@ -364,31 +364,12 @@ class SockListener final : public Listener {
                                     : std::span<const std::byte>{});
           if (st.ok()) handle = handler_->HandleAssignHandle(req.instance);
         }
-        // Trailing extension: protocol version + the set handle the batch
-        // path addresses this set by. A legacy handler assigns no handle and
-        // the peer stays on per-set updates.
+        // Protocol version + the set handle batch pulls address this set by
+        // (version 0 and no handle when the lookup failed).
         AppendU8(out, handle != kInvalidSetHandle ? kBatchProtocolVersion
                                                   : std::uint8_t{0});
         AppendU32(out, handle);
         stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      case MsgType::kUpdateReq: {
-        UpdateRequest req;
-        BeginFrame(out, MsgType::kUpdateResp, hdr.request_id);
-        if (!DecodeUpdateRequest(payload, &req)) {
-          AppendU8(out,
-                   static_cast<std::uint8_t>(ErrorCode::kInvalidArgument));
-          AppendU32(out, 0);
-        } else {
-          conn.scratch.clear();
-          Status st = handler_->HandleUpdate(req.instance, &conn.scratch);
-          AppendU8(out, static_cast<std::uint8_t>(st.code()));
-          AppendBytesField(out, st.ok()
-                                    ? std::span<const std::byte>(conn.scratch)
-                                    : std::span<const std::byte>{});
-        }
-        stats_.updates.fetch_add(1, std::memory_order_relaxed);
         break;
       }
       case MsgType::kUpdateBatchReq: {
@@ -482,7 +463,7 @@ class SockListener final : public Listener {
         return;  // no response
       }
       default:
-        return;  // unknown frame: drop
+        return;  // unknown or retired frame type: drop, no reply
     }
     EndFrame(out, frame_start);
     stats_.server_cpu_ns.fetch_add(NowSteadyNs() - t0,
@@ -542,9 +523,10 @@ class SockListener final : public Listener {
 // without waiting; a dedicated reader thread parses response frames and
 // completes requests out of order by id. Each request carries a deadline
 // (Endpoint::request_timeout); the reader expires overdue requests with
-// kTimeout so a stalled peer cannot wedge a caller forever. Synchronous
-// Dir/Lookup/UpdateRaw are thin block-on-completion wrappers, which is what
-// makes concurrent sync calls from many threads multiplex onto one socket.
+// kTimeout so a stalled peer cannot wedge a caller forever. Every call is a
+// thin block-on-completion wrapper, which is what makes concurrent calls from
+// many threads (a collect cycle's pull beside a fan-out query) multiplex onto
+// one socket.
 class SockEndpoint final : public Endpoint {
  public:
   explicit SockEndpoint(int fd) : fd_(fd) {
@@ -565,12 +547,7 @@ class SockEndpoint final : public Endpoint {
 
   Status Dir(std::vector<std::string>* instances) override {
     std::vector<std::byte> payload;
-    Status st = WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kDirReq, {}, MsgType::kDirResp,
-                        std::move(done));
-        },
-        &payload);
+    Status st = RoundTrip(MsgType::kDirReq, {}, MsgType::kDirResp, &payload);
     if (!st.ok()) return st;
     DirResponse resp;
     if (!DecodeDirResponse(payload, &resp)) {
@@ -581,75 +558,25 @@ class SockEndpoint final : public Endpoint {
     return Status::Ok();
   }
 
-  Status Lookup(const std::string& instance,
-                std::vector<std::byte>* metadata) override {
-    return WaitFor(
-        [&](AsyncHandler done) { LookupAsync(instance, std::move(done)); },
-        metadata);
-  }
-
-  Status UpdateRaw(const std::string& instance,
-                   std::vector<std::byte>* data) override {
-    return WaitFor(
-        [&](AsyncHandler done) { UpdateAsync(instance, std::move(done)); },
-        data);
-  }
-
-  void LookupAsync(const std::string& instance,
-                   AsyncHandler handler) override {
-    stats_.lookups.fetch_add(1, std::memory_order_relaxed);
-    SubmitRequest(
-        MsgType::kLookupReq, EncodeLookupRequest({instance}),
-        MsgType::kLookupResp,
-        [this, handler = std::move(handler)](Status st,
-                                             std::vector<std::byte> payload) {
-          if (!st.ok()) {
-            handler(std::move(st), {});
-            return;
-          }
-          LookupResponse resp;
-          if (!DecodeLookupResponse(payload, &resp)) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({ErrorCode::kInternal, "bad lookup response"}, {});
-            return;
-          }
-          BumpPeerVersion(resp.version);
-          if (resp.code != 0) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({static_cast<ErrorCode>(resp.code), "lookup failed"}, {});
-            return;
-          }
-          handler(Status::Ok(), std::move(resp.metadata));
-        });
-  }
-
   Status LookupEx(const std::string& instance,
                   std::vector<std::byte>* metadata,
                   LookupExtra* extra) override {
     if (extra != nullptr) *extra = LookupExtra{};
     stats_.lookups.fetch_add(1, std::memory_order_relaxed);
     std::vector<std::byte> payload;
-    Status st = WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kLookupReq, EncodeLookupRequest({instance}),
-                        MsgType::kLookupResp, std::move(done));
-        },
-        &payload);
+    Status st = RoundTrip(MsgType::kLookupReq, EncodeLookupRequest({instance}),
+                          MsgType::kLookupResp, &payload);
     if (!st.ok()) return st;
     LookupResponse resp;
     if (!DecodeLookupResponse(payload, &resp)) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return {ErrorCode::kInternal, "bad lookup response"};
     }
-    BumpPeerVersion(resp.version);
     if (resp.code != 0) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return {static_cast<ErrorCode>(resp.code), "lookup failed"};
     }
-    if (extra != nullptr) {
-      extra->version = resp.version;
-      extra->handle = resp.handle;
-    }
+    if (extra != nullptr) extra->handle = resp.handle;
     *metadata = std::move(resp.metadata);
     return Status::Ok();
   }
@@ -659,108 +586,36 @@ class SockEndpoint final : public Endpoint {
     const std::size_t n = specs.size();
     results->assign(n, BatchUpdateResult{});
     if (n == 0) return;
-    const bool peer_batches =
-        peer_version_.load(std::memory_order_relaxed) >=
-        kMinBatchProtocolVersion;
-    // Partition: handle-addressed specs ride in one kUpdateBatchReq frame;
-    // the rest (no handle, legacy peer, or a duplicated handle — the reply
-    // is keyed by handle, so a dup would be ambiguous) fall back to per-set
-    // update frames. Everything is corked into a single send either way.
-    std::vector<std::size_t> batch_idx;
-    std::vector<std::size_t> fallback_idx;
+    // The reply is keyed by handle, so a handle may ride only once per
+    // frame; a repeat fails on its own.
     std::unordered_map<std::uint32_t, std::size_t> by_handle;
-    batch_idx.reserve(n);
     by_handle.reserve(n);
+    UpdateBatchRequest req;
+    // Declared revision: 1 forbids kDelta answers (the delta=0 escape hatch).
+    req.version = delta_updates() ? kDeltaProtocolVersion : 1;
+    req.entries.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (peer_batches && specs[i].handle != kInvalidSetHandle &&
-          by_handle.emplace(specs[i].handle, i).second) {
-        batch_idx.push_back(i);
-      } else {
-        fallback_idx.push_back(i);
-      }
-    }
-    struct Harvest {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t remaining;
-    } harvest{.remaining = fallback_idx.size() + (batch_idx.empty() ? 0 : 1)};
-    CorkWrites();
-    if (!batch_idx.empty()) {
-      UpdateBatchRequest req;
-      // Declare v2 (delta-capable) unless the knob forces full chunks; the
-      // server never sends kDelta to a lower declared revision.
-      req.version =
-          delta_updates() ? kBatchProtocolVersion : kMinBatchProtocolVersion;
-      req.entries.reserve(batch_idx.size());
-      for (const std::size_t i : batch_idx) {
+      if (by_handle.emplace(specs[i].handle, i).second) {
         req.entries.push_back({specs[i].handle, specs[i].last_dgn});
+      } else {
+        (*results)[i].status = {ErrorCode::kInvalidArgument,
+                                "handle repeated in one batch"};
       }
-      stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
-      stats_.updates.fetch_add(batch_idx.size(), std::memory_order_relaxed);
-      // &-captures are safe: UpdateBatch blocks on the harvest until every
-      // completion (reader thread or inline failure) has run.
-      SubmitRequest(
-          MsgType::kUpdateBatchReq, EncodeUpdateBatchRequest(req),
-          MsgType::kUpdateBatchResp,
-          [this, results, &harvest, &batch_idx, &by_handle](
-              Status st, std::vector<std::byte> payload) {
-            CompleteBatch(std::move(st), payload, batch_idx, by_handle,
-                          results);
-            std::lock_guard<std::mutex> lock(harvest.mu);
-            if (--harvest.remaining == 0) harvest.cv.notify_all();
-          });
     }
-    for (const std::size_t i : fallback_idx) {
-      UpdateAsync(specs[i].instance,
-                  [results, &harvest, i](Status st,
-                                         std::vector<std::byte> data) {
-                    (*results)[i].status = std::move(st);
-                    (*results)[i].data = std::move(data);
-                    std::lock_guard<std::mutex> lock(harvest.mu);
-                    if (--harvest.remaining == 0) harvest.cv.notify_all();
-                  });
-    }
-    UncorkWrites();
-    std::unique_lock<std::mutex> lock(harvest.mu);
-    harvest.cv.wait(lock, [&harvest] { return harvest.remaining == 0; });
-  }
-
-  void UpdateAsync(const std::string& instance,
-                   AsyncHandler handler) override {
-    stats_.updates.fetch_add(1, std::memory_order_relaxed);
-    SubmitRequest(
-        MsgType::kUpdateReq, EncodeUpdateRequest({instance}),
-        MsgType::kUpdateResp,
-        [this, handler = std::move(handler)](Status st,
-                                             std::vector<std::byte> payload) {
-          if (!st.ok()) {
-            handler(std::move(st), {});
-            return;
-          }
-          UpdateResponse resp;
-          if (!DecodeUpdateResponse(payload, &resp)) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({ErrorCode::kInternal, "bad update response"}, {});
-            return;
-          }
-          if (resp.code != 0) {
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            handler({static_cast<ErrorCode>(resp.code), "update failed"}, {});
-            return;
-          }
-          handler(Status::Ok(), std::move(resp.data));
-        });
+    stats_.update_batches.fetch_add(1, std::memory_order_relaxed);
+    stats_.updates.fetch_add(n, std::memory_order_relaxed);
+    std::vector<std::byte> payload;
+    Status st =
+        RoundTrip(MsgType::kUpdateBatchReq, EncodeUpdateBatchRequest(req),
+                  MsgType::kUpdateBatchResp, &payload);
+    CompleteBatch(std::move(st), payload, by_handle, results);
   }
 
   Status RemoteQuery(const QueryRequest& req, QueryResponse* resp) override {
     *resp = QueryResponse{};
     std::vector<std::byte> payload;
-    Status st = WaitFor(
-        [&](AsyncHandler done) {
-          SubmitRequest(MsgType::kQueryReq, EncodeQueryRequest(req),
-                        MsgType::kQueryResp, std::move(done));
-        },
-        &payload);
+    Status st = RoundTrip(MsgType::kQueryReq, EncodeQueryRequest(req),
+                          MsgType::kQueryResp, &payload);
     if (!st.ok()) return st;
     if (!DecodeQueryResponse(payload, resp)) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
@@ -772,29 +627,6 @@ class SockEndpoint final : public Endpoint {
               resp->error.empty() ? "query failed" : resp->error};
     }
     return Status::Ok();
-  }
-
-  void CorkWrites() override {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    corked_ = true;
-  }
-
-  void UncorkWrites() override {
-    Status st = Status::Ok();
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      corked_ = false;
-      if (!cork_buf_.empty()) {
-        const DurationNs timeout = request_timeout();
-        const std::uint64_t deadline =
-            timeout > 0 ? NowSteadyNs() + timeout : 0;
-        st = SendFrame(cork_buf_.data(), cork_buf_.size(), deadline);
-        cork_buf_.clear();
-      }
-    }
-    // A failed flush leaves the stream position unknown; the connection is
-    // unusable either way. Shutdown fails the batch's pending requests.
-    if (!st.ok()) Shutdown({ErrorCode::kDisconnected, st.message()});
   }
 
   Status Advertise(const AdvertiseMsg& msg) override {
@@ -820,9 +652,10 @@ class SockEndpoint final : public Endpoint {
     AsyncHandler handler;
   };
 
-  /// Issue an async request via @p issue and block until its handler runs.
-  template <typename IssueFn>
-  static Status WaitFor(IssueFn&& issue, std::vector<std::byte>* out) {
+  /// Submit one request and block until it completes (response, deadline,
+  /// send failure or shutdown); @p out receives the response payload.
+  Status RoundTrip(MsgType type, std::span<const std::byte> payload,
+                   MsgType expect, std::vector<std::byte>* out) {
     struct Waiter {
       std::mutex mu;
       std::condition_variable cv;
@@ -830,36 +663,28 @@ class SockEndpoint final : public Endpoint {
       Status st;
       std::vector<std::byte> bytes;
     } waiter;
-    issue([&waiter](Status st, std::vector<std::byte> bytes) {
-      std::lock_guard<std::mutex> lock(waiter.mu);
-      waiter.st = std::move(st);
-      waiter.bytes = std::move(bytes);
-      waiter.done = true;
-      waiter.cv.notify_all();
-    });
+    SubmitRequest(type, payload, expect,
+                  [&waiter](Status st, std::vector<std::byte> bytes) {
+                    std::lock_guard<std::mutex> lock(waiter.mu);
+                    waiter.st = std::move(st);
+                    waiter.bytes = std::move(bytes);
+                    waiter.done = true;
+                    waiter.cv.notify_all();
+                  });
     std::unique_lock<std::mutex> lock(waiter.mu);
     waiter.cv.wait(lock, [&waiter] { return waiter.done; });
-    if (out != nullptr) *out = std::move(waiter.bytes);
+    *out = std::move(waiter.bytes);
     return waiter.st;
   }
 
-  void BumpPeerVersion(std::uint8_t v) {
-    std::uint8_t cur = peer_version_.load(std::memory_order_relaxed);
-    while (v > cur && !peer_version_.compare_exchange_weak(
-                          cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
   /// Map a kUpdateBatchResp payload (or a whole-batch failure) back onto the
-  /// spec-indexed result slots listed in @p batch_idx.
+  /// result slots of the specs that rode in the frame (@p by_handle).
   void CompleteBatch(Status st, std::span<const std::byte> payload,
-                     const std::vector<std::size_t>& batch_idx,
                      const std::unordered_map<std::uint32_t, std::size_t>&
                          by_handle,
                      std::vector<BatchUpdateResult>* results) {
-    for (const std::size_t i : batch_idx) (*results)[i].batched = true;
     auto fail_all = [&](const Status& why) {
-      for (const std::size_t i : batch_idx) (*results)[i].status = why;
+      for (const auto& [handle, i] : by_handle) (*results)[i].status = why;
     };
     if (!st.ok()) {
       fail_all(st);
@@ -933,16 +758,6 @@ class SockEndpoint final : public Endpoint {
     Status st;
     {
       std::lock_guard<std::mutex> lock(write_mu_);
-      if (corked_) {
-        // Batched issue (UpdateAll/UpdateBatch): append the frame to the
-        // cork buffer; UncorkWrites flushes the whole batch as one send.
-        const std::size_t start = BeginFrame(cork_buf_, type, id);
-        AppendRaw(cork_buf_, payload.data(), payload.size());
-        EndFrame(cork_buf_, start);
-        stats_.bytes_tx.fetch_add(cork_buf_.size() - start,
-                                  std::memory_order_relaxed);
-        return;
-      }
       // Encode into the reusable scratch (capacity kept across requests) so
       // the steady-state request path does not allocate.
       frame_scratch_.clear();
@@ -1147,16 +962,8 @@ class SockEndpoint final : public Endpoint {
   std::atomic<std::uint64_t> next_id_{1};
   std::mutex mu_;  // guards pending_ and the closed_ transition
   std::unordered_map<std::uint64_t, Pending> pending_;
-  std::mutex write_mu_;  // serializes whole-frame writes; guards cork state
-  bool corked_ = false;
-  std::vector<std::byte> cork_buf_;
+  std::mutex write_mu_;  // serializes whole-frame writes
   std::vector<std::byte> frame_scratch_;  // guarded by write_mu_
-  /// Highest batch protocol version the peer has advertised in a lookup
-  /// response. 0 until the first successful lookup (or forever, against a
-  /// legacy peer) — and UpdateBatch only emits kUpdateBatchReq at >= 1,
-  /// because an old server silently drops unknown frame types and the
-  /// request would die by timeout instead of falling back.
-  std::atomic<std::uint8_t> peer_version_{0};
   std::thread reader_;
 };
 

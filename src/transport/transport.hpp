@@ -39,10 +39,9 @@ struct TransportStats {
   /// Nanoseconds of *server-side* CPU consumed servicing this peer; stays 0
   /// for one-sided RDMA data fetches.
   std::atomic<std::uint64_t> server_cpu_ns{0};
-  /// kUpdateBatchReq frames issued (client) or served (listener). Each batch
-  /// frame replaces `entries` individual update round-trips; `updates` still
-  /// counts per-set results so the ratio updates/update_batches is the
-  /// amortization factor.
+  /// kUpdateBatchReq frames issued (client) or served (listener); `updates`
+  /// counts the entries they carried, so updates/update_batches is the sets
+  /// pulled per frame.
   std::atomic<std::uint64_t> update_batches{0};
   /// Batch entries answered with the 5-byte "unchanged" marker instead of a
   /// full data chunk (DGN gate hit).
@@ -69,10 +68,6 @@ class ServiceHandler {
   virtual Status HandleLookup(const std::string& instance,
                               std::vector<std::byte>* metadata) = 0;
 
-  /// Snapshot the data chunk for @p instance into @p data.
-  virtual Status HandleUpdate(const std::string& instance,
-                              std::vector<std::byte>* data) = 0;
-
   /// A producer announced itself and asks to be collected from via
   /// @p dialback (asymmetric-network support). Default: ignore.
   virtual void HandleAdvertise(const AdvertiseMsg& msg) { (void)msg; }
@@ -81,22 +76,14 @@ class ServiceHandler {
   /// Returns nullptr when the instance is unknown.
   virtual MetricSetPtr HandleRdmaExpose(const std::string& instance) = 0;
 
-  /// Assign (or return the existing) compact handle for @p instance, used by
-  /// the batch update protocol to address sets without instance-name strings.
-  /// The default keeps legacy handlers at protocol version 0: no handle is
-  /// assigned, so clients fall back to per-set updates.
-  virtual std::uint32_t HandleAssignHandle(const std::string& instance) {
-    (void)instance;
-    return kInvalidSetHandle;
-  }
+  /// Assign (or return the existing) compact handle for @p instance; a
+  /// lookup response carries it, and batch pulls address the set by it.
+  virtual std::uint32_t HandleAssignHandle(const std::string& instance) = 0;
 
   /// Resolve a handle previously returned by HandleAssignHandle back to the
   /// live set. Returns nullptr for unknown/stale handles (e.g. the set was
   /// removed); batch serving turns that into a per-entry kNotFound.
-  virtual MetricSetPtr HandleResolveHandle(std::uint32_t handle) {
-    (void)handle;
-    return nullptr;
-  }
+  virtual MetricSetPtr HandleResolveHandle(std::uint32_t handle) = 0;
 
   /// Run a tsdb predicate against this daemon's local store (tree-sharded
   /// query fan-out). The default keeps legacy handlers honest: the whole
@@ -107,6 +94,12 @@ class ServiceHandler {
     resp->code = static_cast<std::uint8_t>(ErrorCode::kUnsupported);
     resp->error = "query not supported by this peer";
   }
+
+  /// Retired per-set pull: reports kUnsupported, and nothing serves or
+  /// calls it. Kept for the same reason as Endpoint's retired entry points
+  /// (see the end of Endpoint).
+  virtual Status HandleUpdate(const std::string& instance,
+                              std::vector<std::byte>* data);
 };
 
 /// Default per-request deadline for transports that enforce one. Generous:
@@ -114,15 +107,15 @@ class ServiceHandler {
 /// police slow-but-alive ones.
 constexpr DurationNs kDefaultRequestTimeoutNs = 5 * kNsPerSec;
 
-/// Completion of an async request: the status plus the decoded response
-/// body — serialized metadata for lookups, the raw data chunk for updates
-/// (empty on failure). Handlers run on the transport's completion context
-/// (the sock endpoint's reader thread; inline for transports without an
-/// async engine), so they must be quick and must not block waiting for
-/// further completions from the same endpoint.
+/// Completion of a request: the status plus the response body. The sock
+/// endpoint's pending table holds these; so do the retired async entry
+/// points at the end of Endpoint.
 using AsyncHandler = std::function<void(Status, std::vector<std::byte>)>;
 
-/// Client side of a connection to one peer.
+/// Client side of a connection to one peer. The protocol has two steps
+/// (Figure 2): LookupEx ships a set's metadata once and returns its handle,
+/// then every interval one UpdateBatch pulls the data chunks of all of a
+/// producer's sets, DGN-gated and possibly delta-encoded.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -133,43 +126,26 @@ class Endpoint {
   /// Set discovery (flow preceding lookup).
   virtual Status Dir(std::vector<std::string>* instances) = 0;
 
-  /// Fetch serialized metadata for @p instance (Figure 2 flows {a}-{b}).
-  virtual Status Lookup(const std::string& instance,
-                        std::vector<std::byte>* metadata) = 0;
-
-  /// Pull the raw data chunk for @p instance without applying it anywhere
-  /// (flows {e}-{g}). Implementations must only move the data chunk, never
-  /// the metadata.
-  virtual Status UpdateRaw(const std::string& instance,
-                           std::vector<std::byte>* data) = 0;
-
-  /// Pull the current data chunk for @p instance into @p mirror: UpdateRaw
-  /// plus MetricSet::ApplyData.
-  Status Update(const std::string& instance, MetricSet& mirror);
-
-  /// Async metadata fetch. The base implementation completes inline via the
-  /// synchronous path; pipelined transports (sock) override it.
-  virtual void LookupAsync(const std::string& instance, AsyncHandler handler);
-
-  /// Async data pull; delivers the raw data chunk, the caller applies it.
-  /// Base implementation completes inline via UpdateRaw.
-  virtual void UpdateAsync(const std::string& instance, AsyncHandler handler);
-
-  /// Extra fields carried in the trailing bytes of a lookup response.
+  /// What a lookup returns beside the metadata.
   struct LookupExtra {
-    std::uint8_t version = 0;  // peer's batch protocol version (0 = legacy)
+    /// Compact id batch pulls address the set by. One-sided transports
+    /// address by instance name and leave it kInvalidSetHandle.
     std::uint32_t handle = kInvalidSetHandle;
   };
 
-  /// Lookup that also surfaces the peer's protocol version and the compact
-  /// set handle it assigned. The base implementation delegates to Lookup()
-  /// and reports a legacy peer (version 0, no handle).
+  /// Fetch serialized metadata for @p instance and its set handle (Figure 2
+  /// flows {a}-{b}). @p extra may be null.
   virtual Status LookupEx(const std::string& instance,
-                          std::vector<std::byte>* metadata, LookupExtra* extra);
+                          std::vector<std::byte>* metadata,
+                          LookupExtra* extra) = 0;
+
+  /// LookupEx without the handle.
+  virtual Status Lookup(const std::string& instance,
+                        std::vector<std::byte>* metadata);
 
   /// One set's slot in a batched pull.
   struct BatchUpdateSpec {
-    std::string instance;  // fallback addressing for legacy peers
+    std::string instance;  // addressing for one-sided (rdma) transports
     std::uint32_t handle = kInvalidSetHandle;
     std::uint64_t last_dgn = 0;  // DGN the caller last consumed
   };
@@ -178,29 +154,26 @@ class Endpoint {
   struct BatchUpdateResult {
     Status status;
     bool unchanged = false;  // peer answered with the 5-byte DGN-gate marker
-    bool batched = false;    // travelled in a kUpdateBatchReq frame
     /// data holds a delta payload (apply with MetricSet::ApplyDelta) rather
     /// than a full data chunk.
     bool delta = false;
     std::vector<std::byte> data;  // data chunk; empty if unchanged or failed
   };
 
-  /// Pull every spec in as few wire round-trips as the transport allows.
-  /// Batch-capable transports put all handle-addressed specs in one
-  /// kUpdateBatchReq frame (when the peer negotiated version >= 1) and fall
-  /// back to per-set UpdateAsync for the rest; the base implementation is
-  /// that fallback alone. Synchronous: returns once every result is filled,
-  /// in spec order.
+  /// Pull every spec in one kUpdateBatchReq frame (flows {e}-{g}; only data
+  /// chunks move, never metadata). Synchronous: returns once every result
+  /// is filled, in spec order. A handle repeated within one call fails that
+  /// entry with kInvalidArgument on wire transports (replies are keyed by
+  /// handle).
   virtual void UpdateBatch(const std::vector<BatchUpdateSpec>& specs,
-                           std::vector<BatchUpdateResult>* results);
+                           std::vector<BatchUpdateResult>* results) = 0;
 
-  /// Batch helper: pull every instances[i] and apply it into *mirrors[i]
-  /// (a null mirror skips the apply). Built on UpdateBatch, so transports
-  /// with a batch path use it automatically; returns per-instance statuses
-  /// in input order. An "unchanged" batch answer maps to Ok with the mirror
-  /// left untouched (its DGN already matches).
-  std::vector<Status> UpdateAll(const std::vector<std::string>& instances,
-                                const std::vector<MetricSet*>& mirrors);
+  /// Pull-and-apply helper for tools and tests: a one-set UpdateBatch with
+  /// last_dgn taken from @p mirror, then the answer applied into it (full
+  /// chunk or delta). An "unchanged" answer is Ok with the mirror left as
+  /// it is. The daemon drives UpdateBatch itself.
+  Status Update(const std::string& instance, std::uint32_t handle,
+                MetricSet& mirror);
 
   /// Fire-and-forget advertise (producer-initiated connection setup).
   virtual Status Advertise(const AdvertiseMsg& msg) = 0;
@@ -210,18 +183,10 @@ class Endpoint {
   /// kQueryReq frames (sock, local) override it.
   virtual Status RemoteQuery(const QueryRequest& req, QueryResponse* resp);
 
-  /// Write corking, used by UpdateAll: between Cork and Uncork a wire
-  /// transport may buffer outgoing request frames and flush them as one
-  /// send, cutting per-request syscalls on batch issues. Defaults are
-  /// no-ops; in-process transports complete inline anyway. Calls must be
-  /// paired, on the same thread.
-  virtual void CorkWrites() {}
-  virtual void UncorkWrites() {}
-
   /// Whether this client asks peers for delta-encoded batch entries
   /// (declared in the batch request's trailing version byte). On by
-  /// default; tests and ablation benches turn it off to force the
-  /// full-chunk path on an otherwise identical schedule.
+  /// default; `delta=0`, tests and ablation benches turn it off to force
+  /// the full-chunk path on an otherwise identical schedule.
   void set_delta_updates(bool enabled) {
     delta_updates_.store(enabled, std::memory_order_relaxed);
   }
@@ -241,23 +206,23 @@ class Endpoint {
 
   const TransportStats& stats() const { return stats_; }
 
+  /// Retired per-set entry points. No transport overrides them and nothing
+  /// in the library calls them; they remain only because the frozen
+  /// end-to-end harness (perfbench/src/probes.cpp) overrides them. UpdateRaw
+  /// and UpdateAsync report kUnsupported, LookupAsync completes inline via
+  /// Lookup, and corking is a no-op.
+  virtual Status UpdateRaw(const std::string& instance,
+                           std::vector<std::byte>* data);
+  virtual void LookupAsync(const std::string& instance, AsyncHandler handler);
+  virtual void UpdateAsync(const std::string& instance, AsyncHandler handler);
+  virtual void CorkWrites() {}
+  virtual void UncorkWrites() {}
+
  protected:
   TransportStats stats_;
   std::atomic<DurationNs> request_timeout_ns_{kDefaultRequestTimeoutNs};
   std::atomic<bool> delta_updates_{true};
 };
-
-/// Server-side batch service logic shared by the in-process transports (the
-/// sock listener gather-encodes the same semantics straight into its write
-/// buffer): resolve each handle, DGN-gate, then — when the client declared
-/// protocol version >= kDeltaProtocolVersion and the set advanced exactly
-/// one transaction — answer with a changed-extents kDelta entry, else a
-/// full-chunk snapshot. Unknown handles become per-entry kNotFound errors; a
-/// torn snapshot becomes kInconsistent. @p stats (optional) receives
-/// updates/updates_unchanged/updates_delta/delta_bytes_saved/update_batches
-/// accounting.
-void ServeUpdateBatch(ServiceHandler& handler, const UpdateBatchRequest& req,
-                      UpdateBatchResponse* resp, TransportStats* stats);
 
 /// Server side: alive while in scope; dispatches requests to the handler.
 class Listener {

@@ -49,10 +49,14 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashDecoders) {
     (void)DecodeLookupRequest(junk, &lreq);
     LookupResponse lresp;
     (void)DecodeLookupResponse(junk, &lresp);
-    UpdateRequest ureq;
-    (void)DecodeUpdateRequest(junk, &ureq);
-    UpdateResponse uresp;
-    (void)DecodeUpdateResponse(junk, &uresp);
+    UpdateBatchRequest breq;
+    (void)DecodeUpdateBatchRequest(junk, &breq);
+    UpdateBatchResponse bresp;
+    (void)DecodeUpdateBatchResponse(junk, &bresp);
+    QueryRequest qreq;
+    (void)DecodeQueryRequest(junk, &qreq);
+    QueryResponse qresp;
+    (void)DecodeQueryResponse(junk, &qresp);
     AdvertiseMsg adv;
     (void)DecodeAdvertise(junk, &adv);
 
@@ -70,23 +74,67 @@ TEST_P(WireFuzzTest, RandomBytesNeverCrashDecoders) {
   }
 }
 
-TEST_P(WireFuzzTest, StrictPrefixOfUpdateResponseRejected) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  UpdateResponse msg;
-  msg.code = 0;
-  msg.data.resize(1 + rng.NextBelow(256));
-  for (auto& b : msg.data) b = static_cast<std::byte>(rng.Next() & 0xff);
-  const auto encoded = EncodeUpdateResponse(msg);
-
-  UpdateResponse out;
-  ASSERT_TRUE(DecodeUpdateResponse(encoded, &out));
-  EXPECT_EQ(out.data, msg.data);
+// Every strict prefix of an encoded frame payload must be rejected by
+// @p decode: no field is optional.
+template <typename Msg, typename Decode>
+void ExpectStrictPrefixesRejected(const std::vector<std::byte>& encoded,
+                                  Decode decode) {
   for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
-    UpdateResponse partial;
-    EXPECT_FALSE(DecodeUpdateResponse(
-        std::span<const std::byte>(encoded).subspan(0, cut), &partial))
-        << "prefix of length " << cut << " decoded";
+    Msg partial;
+    EXPECT_FALSE(
+        decode(std::span<const std::byte>(encoded).subspan(0, cut), &partial))
+        << "prefix of length " << cut << " of " << encoded.size()
+        << " decoded";
   }
+}
+
+TEST_P(WireFuzzTest, StrictPrefixOfPullResponsesRejected) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  auto random_bytes = [&rng](std::size_t max) {
+    std::vector<std::byte> bytes(1 + rng.NextBelow(max));
+    for (auto& b : bytes) b = static_cast<std::byte>(rng.Next() & 0xff);
+    return bytes;
+  };
+
+  LookupResponse lookup;
+  lookup.metadata = random_bytes(256);
+  lookup.version = kBatchProtocolVersion;
+  lookup.handle = static_cast<std::uint32_t>(rng.Next());
+  const auto lookup_wire = EncodeLookupResponse(lookup);
+  LookupResponse lookup_out;
+  ASSERT_TRUE(DecodeLookupResponse(lookup_wire, &lookup_out));
+  EXPECT_EQ(lookup_out.metadata, lookup.metadata);
+  EXPECT_EQ(lookup_out.handle, lookup.handle);
+  ExpectStrictPrefixesRejected<LookupResponse>(lookup_wire,
+                                               DecodeLookupResponse);
+
+  // A batch answer mixing every payload-free and full-chunk entry kind.
+  UpdateBatchResponse batch;
+  const std::size_t entries = 1 + rng.NextBelow(6);
+  for (std::size_t i = 0; i < entries; ++i) {
+    UpdateBatchResponse::Entry e;
+    e.handle = static_cast<std::uint32_t>(i);
+    switch (rng.NextBelow(3)) {
+      case 0:
+        e.kind = BatchEntryKind::kUnchanged;
+        break;
+      case 1:
+        e.kind = BatchEntryKind::kData;
+        e.data = random_bytes(64);
+        break;
+      default:
+        e.kind = BatchEntryKind::kError;
+        e.code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
+        break;
+    }
+    batch.entries.push_back(std::move(e));
+  }
+  const auto batch_wire = EncodeUpdateBatchResponse(batch);
+  UpdateBatchResponse batch_out;
+  ASSERT_TRUE(DecodeUpdateBatchResponse(batch_wire, &batch_out));
+  ASSERT_EQ(batch_out.entries.size(), entries);
+  ExpectStrictPrefixesRejected<UpdateBatchResponse>(batch_wire,
+                                                    DecodeUpdateBatchResponse);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest, ::testing::Range(0, 8));

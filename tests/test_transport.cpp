@@ -33,11 +33,11 @@ namespace {
 
 TEST(MessageTest, FrameHeaderRoundTrip) {
   std::vector<std::byte> payload{std::byte{1}, std::byte{2}, std::byte{3}};
-  auto frame = EncodeFrame(MsgType::kUpdateReq, 77, payload);
+  auto frame = EncodeFrame(MsgType::kUpdateBatchReq, 77, payload);
   ASSERT_EQ(frame.size(), kFrameHeaderSize + 3);
   const FrameHeader hdr = DecodeFrameHeader(frame);
   EXPECT_EQ(hdr.payload_len, 3u);
-  EXPECT_EQ(hdr.type, MsgType::kUpdateReq);
+  EXPECT_EQ(hdr.type, MsgType::kUpdateBatchReq);
   EXPECT_EQ(hdr.request_id, 77u);
 }
 
@@ -66,14 +66,6 @@ TEST(MessageTest, AllPayloadsRoundTrip) {
     EXPECT_EQ(out.metadata, in.metadata);
   }
   {
-    UpdateResponse in;
-    in.code = 0;
-    in.data.assign(100, std::byte{0x5a});
-    UpdateResponse out;
-    ASSERT_TRUE(DecodeUpdateResponse(EncodeUpdateResponse(in), &out));
-    EXPECT_EQ(out.data, in.data);
-  }
-  {
     AdvertiseMsg in{"nid1", "fabric/nid1", "local"};
     AdvertiseMsg out;
     ASSERT_TRUE(DecodeAdvertise(EncodeAdvertise(in), &out));
@@ -93,7 +85,8 @@ TEST(MessageTest, TruncatedPayloadRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared harness: a minimal ServiceHandler over one metric set
+// Shared harness: a minimal ServiceHandler over one metric set, addressed
+// by handle kHandle in batch pulls
 // ---------------------------------------------------------------------------
 
 class TestHandler : public ServiceHandler {
@@ -123,12 +116,15 @@ class TestHandler : public ServiceHandler {
     return Status::Ok();
   }
 
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override {
-    if (instance != "host/tset") return {ErrorCode::kNotFound, instance};
-    data->resize(set_->data_size());
+  std::uint32_t HandleAssignHandle(const std::string& instance) override {
+    return instance == "host/tset" ? kHandle : kInvalidSetHandle;
+  }
+
+  // Counts the batch entries this handler served (two-sided pulls only).
+  MetricSetPtr HandleResolveHandle(std::uint32_t handle) override {
+    if (handle != kHandle) return nullptr;
     ++updates;
-    return set_->SnapshotData(*data);
+    return set_;
   }
 
   void HandleAdvertise(const AdvertiseMsg& msg) override {
@@ -146,6 +142,7 @@ class TestHandler : public ServiceHandler {
     return instance == "host/tset" ? set_ : nullptr;
   }
 
+  static constexpr std::uint32_t kHandle = 17;
   MemManager mem_;
   MetricSetPtr set_;
   int lookups = 0;
@@ -188,18 +185,19 @@ TEST_P(TransportSuite, FullClientFlow) {
   EXPECT_EQ(instances[0], "host/tset");
 
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
   MemManager local_mem(1 << 20);
   Status st;
   auto mirror = MetricSet::CreateMirror(local_mem, metadata, &st);
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   handler.Update(42);
-  ASSERT_TRUE(ep->Update("host/tset", *mirror).ok());
+  ASSERT_TRUE(ep->Update("host/tset", extra.handle, *mirror).ok());
   EXPECT_EQ(mirror->GetU64(0), 42u);
 
   handler.Update(43);
-  ASSERT_TRUE(ep->Update("host/tset", *mirror).ok());
+  ASSERT_TRUE(ep->Update("host/tset", extra.handle, *mirror).ok());
   EXPECT_EQ(mirror->GetU64(0), 43u);
 
   // Unknown instances fail cleanly.
@@ -241,14 +239,15 @@ TEST_P(TransportSuite, DeadListenerMeansDisconnected) {
   ASSERT_TRUE(transport->Connect(connect_addr, &ep).ok());
 
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
   MemManager mem(1 << 20);
   Status st;
   auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
   ASSERT_TRUE(st.ok());
 
   listener.reset();  // peer dies
-  Status update_st = ep->Update("host/tset", *mirror);
+  Status update_st = ep->Update("host/tset", extra.handle, *mirror);
   EXPECT_FALSE(update_st.ok());
 }
 
@@ -270,13 +269,14 @@ TEST(RdmaSemanticsTest, UpdateConsumesNoServerCpu) {
     std::unique_ptr<Endpoint> ep;
     EXPECT_TRUE(transport.Connect(addr, &ep).ok());
     std::vector<std::byte> metadata;
-    EXPECT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+    Endpoint::LookupExtra extra;
+    EXPECT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
     Status st;
     auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
     const int before = handler.updates;
     for (int i = 0; i < n; ++i) {
       handler.Update(static_cast<std::uint64_t>(i + 100));
-      EXPECT_TRUE(ep->Update("host/tset", *mirror).ok());
+      EXPECT_TRUE(ep->Update("host/tset", extra.handle, *mirror).ok());
     }
     return {handler.updates - before, ep->stats().bytes_rx.load()};
   };
@@ -516,28 +516,24 @@ TEST(SockTransportTest, OutOfOrderResponsesRouteById) {
   SockTransport sock;
   std::unique_ptr<Endpoint> ep;
   ASSERT_TRUE(sock.Connect(peer.address(), &ep).ok());
+  ep->set_request_timeout(5 * kNsPerSec);
 
-  struct Done {
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining = 2;
-    std::string first, second;
-  } done;
-  auto record = [&done](std::string* slot) {
-    return [&done, slot](Status st, std::vector<std::byte> bytes) {
-      EXPECT_TRUE(st.ok()) << st.ToString();
-      std::lock_guard<std::mutex> lock(done.mu);
-      slot->assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-      if (--done.remaining == 0) done.cv.notify_all();
-    };
+  // Two blocking lookups from two threads: both are in flight before the
+  // peer answers either, so the peer sees both requests first.
+  auto lookup = [&ep](const std::string& instance, std::string* echoed) {
+    std::vector<std::byte> metadata;
+    const Status st = ep->Lookup(instance, &metadata);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    echoed->assign(reinterpret_cast<const char*>(metadata.data()),
+                   metadata.size());
   };
-  ep->LookupAsync("alpha/set", record(&done.first));
-  ep->LookupAsync("beta/set", record(&done.second));
-  std::unique_lock<std::mutex> lock(done.mu);
-  ASSERT_TRUE(done.cv.wait_for(lock, std::chrono::seconds(5),
-                               [&done] { return done.remaining == 0; }));
-  EXPECT_EQ(done.first, "alpha/set");
-  EXPECT_EQ(done.second, "beta/set");
+  std::string first, second;
+  std::thread alpha(lookup, "alpha/set", &first);
+  std::thread beta(lookup, "beta/set", &second);
+  alpha.join();
+  beta.join();
+  EXPECT_EQ(first, "alpha/set");
+  EXPECT_EQ(second, "beta/set");
 }
 
 TEST(SockTransportTest, ConcurrentRoundTripsMultiplexOnOneSocket) {
@@ -570,7 +566,7 @@ TEST(SockTransportTest, ConcurrentRoundTripsMultiplexOnOneSocket) {
   EXPECT_EQ(ep->stats().outstanding.load(), 0u);
 }
 
-TEST_P(TransportSuite, UpdateAllAppliesEveryMirror) {
+TEST_P(TransportSuite, UpdateHelperAppliesEachMirror) {
   auto transport = GetTransport();
   TestHandler handler;
   std::unique_ptr<Listener> listener;
@@ -585,7 +581,8 @@ TEST_P(TransportSuite, UpdateAllAppliesEveryMirror) {
   ASSERT_TRUE(transport->Connect(connect_addr, &ep).ok());
 
   std::vector<std::byte> metadata;
-  ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
+  Endpoint::LookupExtra extra;
+  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
   MemManager mem(1 << 20);
   Status st;
   auto m1 = MetricSet::CreateMirror(mem, metadata, &st);
@@ -594,18 +591,21 @@ TEST_P(TransportSuite, UpdateAllAppliesEveryMirror) {
   ASSERT_TRUE(st.ok());
 
   handler.Update(77);
-  auto statuses = ep->UpdateAll({"host/tset", "host/tset", "missing/set"},
-                                {m1.get(), m2.get(), nullptr});
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
-  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
-  EXPECT_FALSE(statuses[2].ok());
+  EXPECT_TRUE(ep->Update("host/tset", extra.handle, *m1).ok());
+  EXPECT_TRUE(ep->Update("host/tset", extra.handle, *m2).ok());
   EXPECT_EQ(m1->GetU64(0), 77u);
   EXPECT_EQ(m2->GetU64(0), 77u);
+  // Pulled again with nothing new: the DGN gate answers "unchanged", which
+  // is Ok with the mirror left as it is.
+  EXPECT_TRUE(ep->Update("host/tset", extra.handle, *m1).ok());
+  EXPECT_EQ(m1->GetU64(0), 77u);
+  // A set the peer never handed out fails cleanly.
+  EXPECT_EQ(ep->Update("missing/set", kInvalidSetHandle, *m2).code(),
+            ErrorCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
-// Batch update protocol: codecs, version negotiation, and interop
+// Batch update protocol: codecs and the sock server
 // ---------------------------------------------------------------------------
 
 TEST(BatchCodecTest, RequestRoundTrip) {
@@ -709,8 +709,7 @@ TEST(BatchCodecTest, UnknownEntryKindRejected) {
   EXPECT_FALSE(DecodeUpdateBatchResponse(w.buffer(), &out));
 }
 
-TEST(BatchCodecTest, LookupResponseVersionNegotiation) {
-  // New encoder + new decoder: version and handle survive the round trip.
+TEST(BatchCodecTest, LookupResponseRequiresVersionAndHandle) {
   LookupResponse in;
   in.metadata.assign(16, std::byte{3});
   in.version = kBatchProtocolVersion;
@@ -721,105 +720,13 @@ TEST(BatchCodecTest, LookupResponseVersionNegotiation) {
   EXPECT_EQ(out.version, kBatchProtocolVersion);
   EXPECT_EQ(out.handle, 99u);
 
-  // A legacy peer's response carries no trailing bytes; the new decoder must
-  // land on version 0 / no handle rather than misparse.
+  // Without the version byte and handle the response is malformed.
   bytes.resize(bytes.size() - 5);
-  LookupResponse legacy;
-  ASSERT_TRUE(DecodeLookupResponse(bytes, &legacy));
-  EXPECT_EQ(legacy.metadata, in.metadata);
-  EXPECT_EQ(legacy.version, 0);
-  EXPECT_EQ(legacy.handle, kInvalidSetHandle);
+  LookupResponse cut;
+  EXPECT_FALSE(DecodeLookupResponse(bytes, &cut));
 }
-
-// TestHandler plus handle assignment: a batch-capable (version >= 1) server.
-class BatchHandler : public TestHandler {
- public:
-  std::uint32_t HandleAssignHandle(const std::string& instance) override {
-    return instance == "host/tset" ? kHandle : kInvalidSetHandle;
-  }
-  MetricSetPtr HandleResolveHandle(std::uint32_t handle) override {
-    return handle == kHandle ? set_ : nullptr;
-  }
-  static constexpr std::uint32_t kHandle = 17;
-};
 
 TEST(BatchProtocolTest, SockBatchDataUnchangedAndUnknownHandle) {
-  auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
-  std::unique_ptr<Listener> listener;
-  ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
-  std::unique_ptr<Endpoint> ep;
-  ASSERT_TRUE(transport->Connect(listener->address(), &ep).ok());
-
-  std::vector<std::byte> metadata;
-  Endpoint::LookupExtra extra;
-  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
-  EXPECT_EQ(extra.version, kBatchProtocolVersion);
-  EXPECT_EQ(extra.handle, BatchHandler::kHandle);
-
-  handler.Update(5);
-  const std::uint64_t live_gn = handler.set_->data_gn();
-
-  // Entry 0 is stale (gets data), entry 1 is current (unchanged marker),
-  // entry 2 is a handle the server never issued (per-entry kNotFound).
-  std::vector<Endpoint::BatchUpdateSpec> specs(3);
-  specs[0] = {"host/tset", BatchHandler::kHandle, 0};
-  specs[1] = {"host/tset", BatchHandler::kHandle, live_gn};
-  specs[2] = {"host/tset", 0xbadbad, 0};
-  // Entries 0 and 1 collide on the handle; the dedup in UpdateBatch must
-  // route one through the batch frame and the other down the legacy path
-  // rather than send a duplicate the server would reject. Run them
-  // separately so each outcome is unambiguous.
-  std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({specs[0], specs[2]}, &results);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].batched);
-  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_FALSE(results[0].unchanged);
-  EXPECT_EQ(results[0].data.size(), handler.set_->data_size());
-  EXPECT_TRUE(results[1].batched);
-  EXPECT_EQ(results[1].status.code(), ErrorCode::kNotFound);
-
-  ep->UpdateBatch({specs[1]}, &results);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].batched);
-  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_TRUE(results[0].unchanged);
-  EXPECT_TRUE(results[0].data.empty());
-
-  EXPECT_GE(ep->stats().update_batches.load(), 2u);
-  EXPECT_GE(ep->stats().updates_unchanged.load(), 1u);
-}
-
-TEST(BatchProtocolTest, DuplicateHandlesInOneBatchBothSucceed) {
-  auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
-  std::unique_ptr<Listener> listener;
-  ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
-  std::unique_ptr<Endpoint> ep;
-  ASSERT_TRUE(transport->Connect(listener->address(), &ep).ok());
-  std::vector<std::byte> metadata;
-  Endpoint::LookupExtra extra;
-  ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
-
-  handler.Update(6);
-  std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/tset", BatchHandler::kHandle, 0},
-                   {"host/tset", BatchHandler::kHandle, 0}},
-                  &results);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_TRUE(results[1].status.ok()) << results[1].status.ToString();
-  // One rides the batch frame, the duplicate falls back to a per-set update.
-  EXPECT_NE(results[0].batched, results[1].batched);
-  EXPECT_FALSE(results[0].data.empty());
-  EXPECT_FALSE(results[1].data.empty());
-}
-
-TEST(BatchProtocolTest, NewClientAgainstLegacyServerFallsBack) {
-  // TestHandler never assigns handles: it models a pre-batch peer. The
-  // client must see version 0 and route every set through per-set updates
-  // without ever emitting a kUpdateBatchReq frame.
   auto transport = TransportRegistry::Default().Get("sock");
   TestHandler handler;
   std::unique_ptr<Listener> listener;
@@ -830,40 +737,115 @@ TEST(BatchProtocolTest, NewClientAgainstLegacyServerFallsBack) {
   std::vector<std::byte> metadata;
   Endpoint::LookupExtra extra;
   ASSERT_TRUE(ep->LookupEx("host/tset", &metadata, &extra).ok());
-  EXPECT_EQ(extra.version, 0);
-  EXPECT_EQ(extra.handle, kInvalidSetHandle);
+  EXPECT_EQ(extra.handle, TestHandler::kHandle);
 
-  handler.Update(9);
+  handler.Update(5);
+  const std::uint64_t live_gn = handler.set_->data_gn();
+
+  // Entry 0 is stale (gets data), entry 1 is current (unchanged marker),
+  // entry 2 is a handle the server never issued (per-entry kNotFound).
+  // Entries 0 and 1 share a handle, which may ride only once per frame, so
+  // they go in separate pulls.
+  std::vector<Endpoint::BatchUpdateSpec> specs(3);
+  specs[0] = {"host/tset", TestHandler::kHandle, 0};
+  specs[1] = {"host/tset", TestHandler::kHandle, live_gn};
+  specs[2] = {"host/tset", 0xbadbad, 0};
   std::vector<Endpoint::BatchUpdateResult> results;
-  ep->UpdateBatch({{"host/tset", extra.handle, 0}}, &results);
+  ep->UpdateBatch({specs[0], specs[2]}, &results);
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_FALSE(results[0].unchanged);
+  EXPECT_EQ(results[0].data.size(), handler.set_->data_size());
+  EXPECT_EQ(results[1].status.code(), ErrorCode::kNotFound);
+
+  ep->UpdateBatch({specs[1]}, &results);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
-  EXPECT_FALSE(results[0].batched);
-  EXPECT_FALSE(results[0].data.empty());
-  EXPECT_EQ(ep->stats().update_batches.load(), 0u);
-  EXPECT_EQ(handler.updates, 1);
+  EXPECT_TRUE(results[0].unchanged);
+  EXPECT_TRUE(results[0].data.empty());
+
+  EXPECT_EQ(ep->stats().update_batches.load(), 2u);
+  EXPECT_GE(ep->stats().updates_unchanged.load(), 1u);
 }
 
-TEST(BatchProtocolTest, LegacyClientAgainstBatchServerStillWorks) {
-  // An old aggregator speaks plain Lookup/Update to a batch-capable server:
-  // the trailing lookup bytes are ignored and per-set updates behave as
-  // before.
+TEST(BatchProtocolTest, DuplicateHandleInOneBatchFailsOnlyTheRepeat) {
   auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
+  TestHandler handler;
   std::unique_ptr<Listener> listener;
   ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
   std::unique_ptr<Endpoint> ep;
   ASSERT_TRUE(transport->Connect(listener->address(), &ep).ok());
-
   std::vector<std::byte> metadata;
   ASSERT_TRUE(ep->Lookup("host/tset", &metadata).ok());
-  MemManager mem(1 << 20);
-  Status st;
-  auto mirror = MetricSet::CreateMirror(mem, metadata, &st);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  handler.Update(31);
-  ASSERT_TRUE(ep->Update("host/tset", *mirror).ok());
-  EXPECT_EQ(mirror->GetU64(0), 31u);
+
+  handler.Update(6);
+  std::vector<Endpoint::BatchUpdateResult> results;
+  ep->UpdateBatch({{"host/tset", TestHandler::kHandle, 0},
+                   {"host/tset", TestHandler::kHandle, 0}},
+                  &results);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_FALSE(results[0].data.empty());
+  // Replies are keyed by handle, so the repeat never goes on the wire.
+  EXPECT_EQ(results[1].status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(results[1].data.empty());
+  EXPECT_EQ(ep->stats().update_batches.load(), 1u);
+}
+
+/// Raw TCP client connected to @p address ("host:port"), so a test can put
+/// exact bytes on the wire. Returns -1 on failure.
+int ConnectRaw(const std::string& address) {
+  const auto colon = address.rfind(':');
+  if (colon == std::string::npos) return -1;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(static_cast<std::uint16_t>(
+      std::stoi(address.substr(colon + 1))));
+  if (inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(SockTransportTest, RetiredFrameTypesGetNoReply) {
+  // Types 5 and 6 were the per-set update request/response. The server
+  // drops them like any unknown frame, so the first reply on the connection
+  // is the lookup sent after them.
+  SockTransport sock;
+  TestHandler handler;
+  std::unique_ptr<Listener> listener;
+  ASSERT_TRUE(sock.Listen("127.0.0.1:0", &handler, &listener).ok());
+  const int fd = ConnectRaw(listener->address());
+  ASSERT_GE(fd, 0);
+
+  ByteWriter instance;
+  instance.Str("host/tset");
+  std::vector<std::byte> wire;
+  for (const std::uint8_t retired : {5, 6}) {
+    auto frame = EncodeFrame(static_cast<MsgType>(retired), retired,
+                             instance.buffer());
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  auto lookup = EncodeFrame(MsgType::kLookupReq, 7,
+                            EncodeLookupRequest({"host/tset"}));
+  wire.insert(wire.end(), lookup.begin(), lookup.end());
+  WriteAllFd(fd, wire.data(), wire.size());
+
+  FrameHeader hdr;
+  std::vector<std::byte> payload;
+  ASSERT_TRUE(ReadFrame(fd, &hdr, &payload));
+  EXPECT_EQ(hdr.type, MsgType::kLookupResp);
+  EXPECT_EQ(hdr.request_id, 7u);
+  LookupResponse resp;
+  ASSERT_TRUE(DecodeLookupResponse(payload, &resp));
+  EXPECT_EQ(resp.code, 0);
+  EXPECT_EQ(resp.handle, TestHandler::kHandle);
+  EXPECT_FALSE(resp.metadata.empty());
+  ::close(fd);
 }
 
 TEST(BatchProtocolTest, MalformedBatchFrameGetsErrorResponse) {
@@ -871,22 +853,11 @@ TEST(BatchProtocolTest, MalformedBatchFrameGetsErrorResponse) {
   // check it answers with a top-level error instead of dropping the
   // connection or crashing.
   auto transport = TransportRegistry::Default().Get("sock");
-  BatchHandler handler;
+  TestHandler handler;
   std::unique_ptr<Listener> listener;
   ASSERT_TRUE(transport->Listen("127.0.0.1:0", &handler, &listener).ok());
-
-  // Raw TCP client so we can put exact bytes on the wire.
-  const std::string addr = listener->address();
-  const auto colon = addr.rfind(':');
-  ASSERT_NE(colon, std::string::npos);
-  const int port = std::stoi(addr.substr(colon + 1));
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(listener->address());
   ASSERT_GE(fd, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(port));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
 
   // Duplicate handles are rejected by the server-side decoder.
   ByteWriter payload;
@@ -1122,7 +1093,7 @@ TEST(BatchCodecTest, MalformedDeltaEntriesRejected) {
   }
 }
 
-TEST(BatchCodecTest, RequestCarriesClientVersionWithLegacyFallback) {
+TEST(BatchCodecTest, RequestRequiresClientVersion) {
   UpdateBatchRequest in;
   in.entries = {{7, 100}};
   in.version = kBatchProtocolVersion;
@@ -1130,14 +1101,10 @@ TEST(BatchCodecTest, RequestCarriesClientVersionWithLegacyFallback) {
   UpdateBatchRequest out;
   ASSERT_TRUE(DecodeUpdateBatchRequest(bytes, &out));
   EXPECT_EQ(out.version, kBatchProtocolVersion);
-  // A v1 encoder emits no trailing version byte; the decoder must land on
-  // version 1 (batch-capable, not delta-capable) rather than misparse.
+  // Without the trailing version byte the request is malformed.
   bytes.pop_back();
-  UpdateBatchRequest legacy;
-  ASSERT_TRUE(DecodeUpdateBatchRequest(bytes, &legacy));
-  EXPECT_EQ(legacy.version, 1);
-  ASSERT_EQ(legacy.entries.size(), 1u);
-  EXPECT_EQ(legacy.entries[0].handle, 7u);
+  UpdateBatchRequest cut;
+  EXPECT_FALSE(DecodeUpdateBatchRequest(bytes, &cut));
 }
 
 // A batch-capable server over a 32-metric set: wide enough that a sparse
@@ -1173,12 +1140,6 @@ class WideHandler : public ServiceHandler {
     auto bytes = set_->metadata_bytes();
     metadata->assign(bytes.begin(), bytes.end());
     return Status::Ok();
-  }
-  Status HandleUpdate(const std::string& instance,
-                      std::vector<std::byte>* data) override {
-    if (instance != "host/wide") return {ErrorCode::kNotFound, instance};
-    data->resize(set_->data_size());
-    return set_->SnapshotData(*data);
   }
   void HandleAdvertise(const AdvertiseMsg&) override {}
   MetricSetPtr HandleRdmaExpose(const std::string& instance) override {
@@ -1239,7 +1200,7 @@ TEST(BatchProtocolTest, SockDeltaRoundTripAndFullChunkFallback) {
   EXPECT_EQ(mirror->data_gn(), handler.set_->data_gn());
   EXPECT_GE(ep->stats().updates_delta.load(), 1u);
 
-  // Knob off: the client declares v1, so the same sparse change arrives as
+  // Knob off: the client declares 1, so the same sparse change arrives as
   // a full chunk on the next pull.
   ep->set_delta_updates(false);
   handler.Touch(4, 43);
