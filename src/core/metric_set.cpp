@@ -413,12 +413,14 @@ Status MetricSet::SnapshotData(std::span<std::byte> out) const {
     if (!consistent_before) continue;  // writer active; retry
     std::memcpy(out.data(), data_, data_size_);
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t gn_after =
-        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
-            .load(std::memory_order_acquire);
+    // consistent before data_gn, the reverse of the writer's gn++-then-set:
+    // an EndTransaction between the two loads must not pass a torn copy.
     const bool consistent_after =
         std::atomic_ref<const std::uint32_t>(hdr->consistent)
             .load(std::memory_order_acquire) != 0;
+    const std::uint64_t gn_after =
+        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
+            .load(std::memory_order_acquire);
     if (gn_before == gn_after && consistent_after) return Status::Ok();
   }
   snapshot_starved_.fetch_add(1, std::memory_order_relaxed);
@@ -494,12 +496,14 @@ Status MetricSet::SnapshotDelta(std::uint64_t base_dgn, ByteWriter& w) const {
       o += e.len;
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t gn_after =
-        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
-            .load(std::memory_order_acquire);
+    // consistent before data_gn, the reverse of the writer's gn++-then-set:
+    // an EndTransaction between the two loads must not pass a torn copy.
     const bool consistent_after =
         std::atomic_ref<const std::uint32_t>(hdr->consistent)
             .load(std::memory_order_acquire) != 0;
+    const std::uint64_t gn_after =
+        std::atomic_ref<const std::uint64_t>(hdr->data_gn)
+            .load(std::memory_order_acquire);
     if (gn_before == gn_after && consistent_after) return Status::Ok();
   }
   w.Truncate(rollback);

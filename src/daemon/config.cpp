@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 #include "daemon/decomp/decomp.hpp"
 #include "daemon/topology.hpp"
@@ -55,30 +56,43 @@ void AppendField(std::string* out, std::string_view key, std::uint64_t v) {
   AppendU64(out, v);
 }
 
-void AppendColumns(std::string* out, const std::vector<std::string>& columns) {
+/// A `query` page, rows and fanout modes alike:
+///   columns=<c0>,<c1>... rows=<n> [total_rows= truncated= leaves_ok=
+///   leaves_failed= (fanout only)] segments_considered= segments_pruned=
+///   segments_read= bytes_read= bytes_decoded= row=<ts_us>:<node>:<v0>...
+/// with the first @p emit rows printed. Replaces @p out.
+void FormatQueryPage(std::string* out, const TsdbQueryResult& page,
+                     std::size_t emit, const Ldmsd::FanoutResult* fanout) {
+  out->clear();
+  // Room for the rows at typical widths: one or two allocations per page.
+  out->reserve(emit * (32 + 16 * page.columns.size()));
   out->append("columns=");
-  for (std::size_t i = 0; i < columns.size(); ++i) {
+  for (std::size_t i = 0; i < page.columns.size(); ++i) {
     if (i > 0) out->push_back(',');
-    out->append(columns[i]);
+    out->append(page.columns[i]);
   }
-}
-
-/// " row=<ts_us>:<node>:<v0>:<v1>...".
-void AppendRow(std::string* out, TimeNs ts, std::uint64_t node,
-               const std::vector<double>& values) {
-  AppendField(out, "row=", ts / kNsPerUs);
-  out->push_back(':');
-  AppendU64(out, node);
-  for (const double v : values) {
+  AppendField(out, "rows=", page.rows.size());
+  if (fanout != nullptr) {
+    AppendField(out, "total_rows=", fanout->merged.total_rows);
+    AppendField(out, "truncated=", fanout->merged.truncated);
+    AppendField(out, "leaves_ok=", fanout->leaves_ok);
+    AppendField(out, "leaves_failed=", fanout->leaves_failed);
+  }
+  AppendField(out, "segments_considered=", page.segments_considered);
+  AppendField(out, "segments_pruned=", page.segments_pruned);
+  AppendField(out, "segments_read=", page.segments_read);
+  AppendField(out, "bytes_read=", page.bytes_read);
+  AppendField(out, "bytes_decoded=", page.bytes_decoded);
+  for (std::size_t i = 0; i < emit; ++i) {
+    const TsdbQueryRow& row = page.rows[i];
+    AppendField(out, "row=", row.ts / kNsPerUs);
     out->push_back(':');
-    AppendDouble(out, v);
+    AppendU64(out, row.node);
+    for (const double v : row.values) {
+      out->push_back(':');
+      AppendDouble(out, v);
+    }
   }
-}
-
-/// Room for @p rows rows of @p columns values at typical widths, so a page
-/// is formatted with one or two allocations.
-void ReserveRows(std::string* out, std::size_t rows, std::size_t columns) {
-  out->reserve(out->size() + rows * (32 + 16 * columns));
 }
 
 }  // namespace
@@ -516,14 +530,16 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
     return Status::Ok();
   }
 
-  TsdbQuery q;
+  QueryRequest req;
+  req.strgp = strgp->second;
+  req.limit = 64;
   if (auto it = args.find("table"); it != args.end()) {
-    q.table = it->second;
+    req.table = it->second;
   } else {
     return {ErrorCode::kInvalidArgument, "query requires table="};
   }
-  if (auto t0 = IntervalUsParam(args, "t0_us")) q.t0 = *t0;
-  if (auto t1 = IntervalUsParam(args, "t1_us")) q.t1 = *t1;
+  if (auto t0 = IntervalUsParam(args, "t0_us")) req.t0 = *t0;
+  if (auto t1 = IntervalUsParam(args, "t1_us")) req.t1 = *t1;
   if (auto it = args.find("nodes"); it != args.end()) {
     for (auto node_sv : Split(it->second, ',')) {
       auto node = ParseU64(node_sv);
@@ -531,26 +547,26 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
         return {ErrorCode::kInvalidArgument,
                 "bad nodes=" + it->second};
       }
-      q.nodes.push_back(*node);
+      req.nodes.push_back(*node);
     }
   }
   if (auto it = args.find("metrics"); it != args.end()) {
     for (auto metric : Split(it->second, ',')) {
-      if (!metric.empty()) q.metrics.emplace_back(metric);
+      if (!metric.empty()) req.metrics.emplace_back(metric);
     }
   }
-  std::size_t limit = 64;
   if (auto it = args.find("limit"); it != args.end()) {
     auto n = ParseU64(it->second);
     if (!n) return {ErrorCode::kInvalidArgument, "bad limit=" + it->second};
-    limit = static_cast<std::size_t>(*n);
+    req.limit = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(*n, std::numeric_limits<std::uint32_t>::max()));
   }
 
   if (mode == "rollup") {
     std::vector<TsdbRollupRow> rollups;
-    Status st = tsdb->QueryRollup(q, &rollups);
+    Status st = tsdb->QueryRollup(req, &rollups);
     if (!st.ok()) return st;
-    const std::size_t emit = std::min(limit, rollups.size());
+    const std::size_t emit = std::min<std::size_t>(req.limit, rollups.size());
     output->clear();
     output->reserve(16 + emit * 128);
     output->append("buckets=");
@@ -574,56 +590,21 @@ Status ConfigProcessor::CmdQuery(const PluginParams& args,
   if (mode == "fanout") {
     // Tree-sharded fan-out: forward the predicate to every producer peer's
     // local store and merge the bounded result pages.
-    QueryRequest req;
-    req.strgp = strgp->second;
-    req.table = q.table;
-    req.t0 = q.t0;
-    req.t1 = q.t1;
-    req.nodes = q.nodes;
-    req.metrics = q.metrics;
-    req.limit = static_cast<std::uint32_t>(limit);
     Ldmsd::FanoutResult fanout;
     Status st = daemon_.FanoutQuery(req, &fanout);
     if (!st.ok()) return st;
-    const QueryResponse& merged = fanout.merged;
-    output->clear();
-    ReserveRows(output, merged.rows.size(), merged.columns.size());
-    AppendColumns(output, merged.columns);
-    AppendField(output, "rows=", merged.rows.size());
-    AppendField(output, "total_rows=", merged.total_rows);
-    AppendField(output, "truncated=", merged.truncated);
-    AppendField(output, "leaves_ok=", fanout.leaves_ok);
-    AppendField(output, "leaves_failed=", fanout.leaves_failed);
-    AppendField(output, "segments_considered=", merged.segments_considered);
-    AppendField(output, "segments_pruned=", merged.segments_pruned);
-    AppendField(output, "segments_read=", merged.segments_read);
-    AppendField(output, "bytes_read=", merged.bytes_read);
-    AppendField(output, "bytes_decoded=", merged.bytes_decoded);
-    for (const auto& row : merged.rows) {
-      AppendRow(output, row.ts, row.node, row.values);
-    }
+    FormatQueryPage(output, fanout.merged, fanout.merged.rows.size(), &fanout);
     return Status::Ok();
   }
   if (mode != "rows") {
     return {ErrorCode::kInvalidArgument, "bad mode=" + mode};
   }
   TsdbQueryResult result;
-  Status st = tsdb->Query(q, &result);
+  Status st = tsdb->Query(req, &result);
   if (!st.ok()) return st;
-  const std::size_t emit = std::min(limit, result.rows.size());
-  output->clear();
-  ReserveRows(output, emit, result.columns.size());
-  AppendColumns(output, result.columns);
-  AppendField(output, "rows=", result.rows.size());
-  AppendField(output, "segments_considered=", result.segments_considered);
-  AppendField(output, "segments_pruned=", result.segments_pruned);
-  AppendField(output, "segments_read=", result.segments_read);
-  AppendField(output, "bytes_read=", result.bytes_read);
-  AppendField(output, "bytes_decoded=", result.bytes_decoded);
-  for (std::size_t i = 0; i < emit; ++i) {
-    const TsdbQueryRow& row = result.rows[i];
-    AppendRow(output, row.ts, row.node, row.values);
-  }
+  FormatQueryPage(output, result,
+                  std::min<std::size_t>(req.limit, result.rows.size()),
+                  nullptr);
   return Status::Ok();
 }
 

@@ -29,6 +29,17 @@ std::uint64_t HashName(const std::string& name) {
   return h;
 }
 
+/// Bound a query page: the client's limit (0 = none), itself clamped by the
+/// server-side ceiling, so a fan-out root never receives an unbounded page.
+void CapQueryPage(std::uint32_t limit, QueryResponse* page) {
+  std::size_t cap = kMaxQueryRespRows;
+  if (limit != 0 && limit < cap) cap = limit;
+  if (page->rows.size() > cap) {
+    page->rows.resize(cap);
+    page->truncated = 1;
+  }
+}
+
 /// FNV-1a over a metadata chunk — the schema digest the registry keeps per
 /// (producer, schema) so a restart can detect schema drift while down.
 std::uint64_t HashBytes(const std::vector<std::byte>& bytes) {
@@ -853,38 +864,15 @@ void Ldmsd::HandleQuery(const QueryRequest& req, QueryResponse* resp) {
     resp->error = "policy '" + req.strgp + "' is not a queryable store";
     return;
   }
-  TsdbQuery q;
-  q.table = req.table;
-  q.t0 = req.t0;
-  q.t1 = req.t1;
-  q.nodes = req.nodes;
-  q.metrics = req.metrics;
-  TsdbQueryResult result;
-  Status st = tsdb->Query(q, &result);
+  Status st = tsdb->Query(req, resp);
   if (!st.ok()) {
+    *resp = QueryResponse{};
     resp->code = static_cast<std::uint8_t>(st.code());
     resp->error = st.message();
     return;
   }
-  resp->columns = std::move(result.columns);
-  resp->total_rows = result.rows.size();
-  resp->segments_considered = result.segments_considered;
-  resp->segments_pruned = result.segments_pruned;
-  resp->segments_read = result.segments_read;
-  resp->bytes_read = result.bytes_read;
-  resp->bytes_decoded = result.bytes_decoded;
-  // Bound the response page: the client's limit, itself clamped by the
-  // server-side ceiling — a fan-out root never receives an unbounded page.
-  std::size_t cap = kMaxQueryRespRows;
-  if (req.limit != 0 && req.limit < cap) cap = req.limit;
-  if (result.rows.size() > cap) {
-    result.rows.resize(cap);
-    resp->truncated = 1;
-  }
-  resp->rows.reserve(result.rows.size());
-  for (auto& row : result.rows) {
-    resp->rows.push_back({row.ts, row.node, std::move(row.values)});
-  }
+  resp->total_rows = resp->rows.size();
+  CapQueryPage(req.limit, resp);
 }
 
 Status Ldmsd::FanoutQuery(const QueryRequest& req, FanoutResult* out) {
@@ -944,15 +932,10 @@ Status Ldmsd::FanoutQuery(const QueryRequest& req, FanoutResult* out) {
   // Global (ts, node) order regardless of which leaf answered first; stable
   // so equal keys keep leaf order — same input, same page, every run.
   std::stable_sort(merged.rows.begin(), merged.rows.end(),
-                   [](const QueryResponse::Row& a, const QueryResponse::Row& b) {
+                   [](const TsdbQueryRow& a, const TsdbQueryRow& b) {
                      return a.ts != b.ts ? a.ts < b.ts : a.node < b.node;
                    });
-  std::size_t cap = kMaxQueryRespRows;
-  if (req.limit != 0 && req.limit < cap) cap = req.limit;
-  if (merged.rows.size() > cap) {
-    merged.rows.resize(cap);
-    merged.truncated = 1;
-  }
+  CapQueryPage(req.limit, &merged);
   return Status::Ok();
 }
 

@@ -4,7 +4,6 @@
 #include "store/fault_store.hpp"
 #include "store/flatfile_store.hpp"
 #include "store/memory_store.hpp"
-#include "store/sos_store.hpp"
 #include "store/tsdb/tsdb_store.hpp"
 #include "util/strings.hpp"
 
@@ -71,12 +70,6 @@ void RegisterBuiltinStores() {
       opts.root_path = it->second;
     return std::make_shared<FlatFileStore>(std::move(opts));
   });
-  registry.AddStore("store_sos", [](const PluginParams& params) {
-    SosStoreOptions opts;
-    if (auto it = params.find("path"); it != params.end())
-      opts.root_path = it->second;
-    return std::make_shared<SosStore>(std::move(opts));
-  });
   registry.AddStore("store_mem", [](const PluginParams& params) {
     std::size_t max_samples = 0;
     if (auto it = params.find("max_samples"); it != params.end()) {
@@ -88,7 +81,7 @@ void RegisterBuiltinStores() {
   //   strgp_add plugin=store_tsdb path=/data/tsdb segment_rows=4096
   //             rollup_sec=60 compress=1 scan_threads=4
   //             decomp=hot@cpu_user:user:rate,cpu_idle
-  registry.AddStore("store_tsdb", [](const PluginParams& params) {
+  const StoreFactory tsdb = [](const PluginParams& params) {
     TsdbOptions opts;
     if (auto it = params.find("path"); it != params.end())
       opts.root_path = it->second;
@@ -105,7 +98,10 @@ void RegisterBuiltinStores() {
       if (auto v = ParseU64(it->second)) opts.scan_threads = *v;
     }
     return std::make_shared<TsdbStore>(std::move(opts));
-  });
+  };
+  registry.AddStore("store_tsdb", tsdb);
+  // The paper's queryable SOS store is served by store_tsdb.
+  registry.AddStore("store_sos", tsdb);
   // Decorator: wraps another registered store plugin with a seeded fault
   // schedule. Probabilities are permille (integer config language); e.g.
   //   strgp_add plugin=store_fault inner=store_csv path=/x seed=7

@@ -21,7 +21,8 @@ class Store {
  public:
   virtual ~Store() = default;
 
-  /// Plugin name ("store_csv", "store_flatfile", "store_sos", "store_mem").
+  /// Plugin name ("store_csv", "store_flatfile", "store_mem", "store_tsdb";
+  /// a store_sos policy is a store_tsdb).
   virtual const std::string& name() const = 0;
 
   /// Append one sample: the current contents of @p set, stamped with the

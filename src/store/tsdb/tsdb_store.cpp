@@ -452,20 +452,22 @@ const TsdbStore::Table* TsdbStore::FindTableLocked(
   return it != tables_.end() ? &it->second : nullptr;
 }
 
-Status TsdbStore::ResolveColumns(const Table& t,
-                                 const std::vector<std::string>& want,
-                                 std::vector<std::uint32_t>* idx,
-                                 std::vector<std::string>* names) const {
-  idx->clear();
-  names->clear();
-  if (want.empty()) {
+Status TsdbStore::MakeFilter(const Table& t, const TsdbQuery& q,
+                             RowFilter* f,
+                             std::vector<std::string>* columns) {
+  f->t0 = q.t0;
+  f->t1 = q.t1;
+  f->nodes = q.nodes;
+  std::sort(f->nodes.begin(), f->nodes.end());
+  f->cols.clear();
+  columns->clear();
+  if (q.metrics.empty()) {
     for (std::size_t i = 0; i < t.columns.size(); ++i) {
-      idx->push_back(static_cast<std::uint32_t>(i));
-      names->push_back(t.columns[i].name);
+      f->cols.push_back(static_cast<std::uint32_t>(i));
+      columns->push_back(t.columns[i].name);
     }
-    return Status::Ok();
   }
-  for (const std::string& metric : want) {
+  for (const std::string& metric : q.metrics) {
     int found = -1;
     for (std::size_t i = 0; i < t.columns.size(); ++i) {
       if (t.columns[i].name == metric) {
@@ -478,63 +480,79 @@ Status TsdbStore::ResolveColumns(const Table& t,
               "store_tsdb: no metric '" + metric + "' in table '" + t.name +
                   "'"};
     }
-    idx->push_back(static_cast<std::uint32_t>(found));
-    names->push_back(metric);
+    f->cols.push_back(static_cast<std::uint32_t>(found));
+    columns->push_back(metric);
   }
+  f->types.clear();
+  for (const std::uint32_t c : f->cols) f->types.push_back(t.columns[c].type);
   return Status::Ok();
 }
 
-Status TsdbStore::ScanSealedSegment(
-    const Sealed& seg, const std::vector<std::uint32_t>& cols,
-    const std::vector<MetricType>& types, TimeNs t0, TimeNs t1,
-    const std::vector<std::uint64_t>& node_filter,
-    std::vector<TsdbQueryRow>* rows, std::uint64_t* bytes_read,
-    std::uint64_t* bytes_decoded) const {
+void TsdbStore::AppendMatchingRows(const RowFilter& f, std::size_t row_count,
+                                   const std::uint64_t* ts,
+                                   const std::uint64_t* nodes,
+                                   std::span<const std::uint64_t* const> data,
+                                   std::vector<TsdbQueryRow>* rows) {
+  for (std::size_t r = 0; r < row_count; ++r) {
+    if (ts[r] < f.t0 || ts[r] > f.t1) continue;
+    if (!f.nodes.empty() && !SortedContains(f.nodes, nodes[r])) continue;
+    TsdbQueryRow& row = rows->emplace_back();
+    row.ts = ts[r];
+    row.node = nodes[r];
+    row.values.reserve(data.size());
+    for (std::size_t c = 0; c < data.size(); ++c) {
+      row.values.push_back(SlotAsDouble(data[c][r], f.types[c]));
+    }
+  }
+}
+
+void TsdbStore::ScanActive(const SegmentBuilder& seg, const RowFilter& f,
+                           std::vector<TsdbQueryRow>* rows) {
+  std::vector<const std::uint64_t*> data;
+  data.reserve(f.cols.size());
+  for (const std::uint32_t c : f.cols) data.push_back(seg.column(c).data());
+  AppendMatchingRows(f, seg.row_count(), seg.ts().data(), seg.nodes().data(),
+                     data, rows);
+}
+
+Status TsdbStore::ScanSealedSegment(const Sealed& seg, const RowFilter& f,
+                                    std::vector<TsdbQueryRow>* rows,
+                                    std::uint64_t* bytes_read,
+                                    std::uint64_t* bytes_decoded) {
   // Per-worker scratch: a pool worker (or the inline caller) recycles its
   // decode buffers across every segment it scans in its lifetime.
   thread_local std::vector<std::uint8_t> enc_scratch;
   thread_local std::vector<std::uint64_t> ts, nodes;
   thread_local std::vector<std::vector<std::uint64_t>> data;
-  const SegmentFooter& f = seg.footer;
-  Status st = ReadSegmentColumn(seg.path, f, SegmentFooter::kTsCol, &ts,
+  thread_local std::vector<const std::uint64_t*> data_ptrs;
+  const SegmentFooter& footer = seg.footer;
+  Status st = ReadSegmentColumn(seg.path, footer, SegmentFooter::kTsCol, &ts,
                                 &enc_scratch);
   if (!st.ok()) return st;
-  st = ReadSegmentColumn(seg.path, f, SegmentFooter::kNodeCol, &nodes,
+  st = ReadSegmentColumn(seg.path, footer, SegmentFooter::kNodeCol, &nodes,
                          &enc_scratch);
   if (!st.ok()) return st;
-  if (data.size() < cols.size()) data.resize(cols.size());
-  *bytes_read += f.enc_lens[SegmentFooter::kTsCol] +
-                 f.enc_lens[SegmentFooter::kNodeCol];
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    st = ReadSegmentColumn(seg.path, f, SegmentFooter::DataCol(cols[c]),
-                           &data[c], &enc_scratch);
+  if (data.size() < f.cols.size()) data.resize(f.cols.size());
+  data_ptrs.clear();
+  *bytes_read += footer.enc_lens[SegmentFooter::kTsCol] +
+                 footer.enc_lens[SegmentFooter::kNodeCol];
+  for (std::size_t c = 0; c < f.cols.size(); ++c) {
+    const std::size_t col = SegmentFooter::DataCol(f.cols[c]);
+    st = ReadSegmentColumn(seg.path, footer, col, &data[c], &enc_scratch);
     if (!st.ok()) return st;
-    *bytes_read += f.enc_lens[SegmentFooter::DataCol(cols[c])];
+    *bytes_read += footer.enc_lens[col];
+    data_ptrs.push_back(data[c].data());
   }
-  *bytes_decoded += (2 + cols.size()) * f.row_count * sizeof(std::uint64_t);
-  for (std::size_t r = 0; r < f.row_count; ++r) {
-    if (ts[r] < t0 || ts[r] > t1) continue;
-    if (!node_filter.empty() && !SortedContains(node_filter, nodes[r])) {
-      continue;
-    }
-    TsdbQueryRow row;
-    row.ts = ts[r];
-    row.node = nodes[r];
-    row.values.reserve(cols.size());
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      row.values.push_back(SlotAsDouble(data[c][r], types[c]));
-    }
-    rows->push_back(std::move(row));
-  }
+  *bytes_decoded +=
+      (2 + f.cols.size()) * footer.row_count * sizeof(std::uint64_t);
+  AppendMatchingRows(f, footer.row_count, ts.data(), nodes.data(), data_ptrs,
+                     rows);
   return Status::Ok();
 }
 
 Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
   *out = TsdbQueryResult{};
-  std::vector<std::uint32_t> cols;
-  std::vector<MetricType> types;
-  std::vector<std::uint64_t> node_filter(q.nodes);
-  std::sort(node_filter.begin(), node_filter.end());
+  RowFilter f;
   std::vector<Sealed> survivors;
   std::vector<TsdbQueryRow> active_rows;
   {
@@ -547,40 +565,20 @@ Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
     if (t == nullptr) {
       return {ErrorCode::kNotFound, "store_tsdb: no table '" + q.table + "'"};
     }
-    Status st = ResolveColumns(*t, q.metrics, &cols, &out->columns);
+    Status st = MakeFilter(*t, q, &f, &out->columns);
     if (!st.ok()) return st;
-    types.reserve(cols.size());
-    for (const std::uint32_t c : cols) types.push_back(t->columns[c].type);
     for (const Sealed& seg : t->sealed) {
       ++out->segments_considered;
-      const SegmentFooter& f = seg.footer;
-      if (f.max_ts < q.t0 || f.min_ts > q.t1 ||
-          (!node_filter.empty() && !f.node_overflow &&
-           !SortedIntersect(f.nodes, node_filter))) {
+      const SegmentFooter& footer = seg.footer;
+      if (footer.max_ts < f.t0 || footer.min_ts > f.t1 ||
+          (!f.nodes.empty() && !footer.node_overflow &&
+           !SortedIntersect(footer.nodes, f.nodes))) {
         ++out->segments_pruned;
         continue;
       }
       survivors.push_back(seg);
     }
-    if (t->active != nullptr) {
-      const SegmentBuilder& seg = *t->active;
-      for (std::size_t r = 0; r < seg.row_count(); ++r) {
-        const TimeNs ts = seg.ts()[r];
-        const std::uint64_t node = seg.nodes()[r];
-        if (ts < q.t0 || ts > q.t1) continue;
-        if (!node_filter.empty() && !SortedContains(node_filter, node)) {
-          continue;
-        }
-        TsdbQueryRow row;
-        row.ts = ts;
-        row.node = node;
-        row.values.reserve(cols.size());
-        for (std::size_t c = 0; c < cols.size(); ++c) {
-          row.values.push_back(SlotAsDouble(seg.column(cols[c])[r], types[c]));
-        }
-        active_rows.push_back(std::move(row));
-      }
-    }
+    if (t->active != nullptr) ScanActive(*t->active, f, &active_rows);
   }
   out->segments_read = survivors.size();
 
@@ -592,9 +590,8 @@ Status TsdbStore::Query(const TsdbQuery& q, TsdbQueryResult* out) const {
   std::vector<Status> seg_status(n);
   std::vector<std::uint64_t> seg_bytes(n, 0), seg_decoded(n, 0);
   auto scan_one = [&](std::size_t i) {
-    seg_status[i] =
-        ScanSealedSegment(survivors[i], cols, types, q.t0, q.t1, node_filter,
-                          &seg_rows[i], &seg_bytes[i], &seg_decoded[i]);
+    seg_status[i] = ScanSealedSegment(survivors[i], f, &seg_rows[i],
+                                      &seg_bytes[i], &seg_decoded[i]);
   };
   if (scan_pool_ != nullptr && n > 1) {
     std::mutex done_mu;
@@ -634,67 +631,32 @@ Status TsdbStore::QueryFullScan(const TsdbQuery& q,
   if (t == nullptr) {
     return {ErrorCode::kNotFound, "store_tsdb: no table '" + q.table + "'"};
   }
-  std::vector<std::uint32_t> cols;
-  Status st = ResolveColumns(*t, q.metrics, &cols, &out->columns);
+  RowFilter f;
+  Status st = MakeFilter(*t, q, &f, &out->columns);
   if (!st.ok()) return st;
-  std::vector<std::uint64_t> node_filter(q.nodes);
-  std::sort(node_filter.begin(), node_filter.end());
 
   for (const Sealed& seg : t->sealed) {
     ++out->segments_considered;
     ++out->segments_read;
-    const SegmentFooter& f = seg.footer;
+    const SegmentFooter& footer = seg.footer;
     // The honest row-store comparison: reconstruct every row by reading
     // every column, then filter row-wise.
-    std::vector<std::uint64_t> ts, nodes, prod;
-    st = ReadSegmentColumn(seg.path, f, SegmentFooter::kTsCol, &ts);
-    if (!st.ok()) return st;
-    st = ReadSegmentColumn(seg.path, f, SegmentFooter::kNodeCol, &nodes);
-    if (!st.ok()) return st;
-    st = ReadSegmentColumn(seg.path, f, SegmentFooter::kProdCol, &prod);
-    if (!st.ok()) return st;
-    std::vector<std::vector<std::uint64_t>> data(t->columns.size());
-    for (std::size_t c = 0; c < t->columns.size(); ++c) {
-      st = ReadSegmentColumn(seg.path, f, SegmentFooter::DataCol(c), &data[c]);
+    std::vector<std::vector<std::uint64_t>> cols(footer.enc_lens.size());
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      st = ReadSegmentColumn(seg.path, footer, c, &cols[c]);
       if (!st.ok()) return st;
+      out->bytes_read += footer.enc_lens[c];
     }
-    for (const std::uint64_t len : f.enc_lens) out->bytes_read += len;
-    out->bytes_decoded +=
-        (3 + t->columns.size()) * f.row_count * sizeof(std::uint64_t);
-    for (std::size_t r = 0; r < f.row_count; ++r) {
-      if (ts[r] < q.t0 || ts[r] > q.t1) continue;
-      if (!node_filter.empty() && !SortedContains(node_filter, nodes[r])) {
-        continue;
-      }
-      TsdbQueryRow row;
-      row.ts = ts[r];
-      row.node = nodes[r];
-      row.values.reserve(cols.size());
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        row.values.push_back(
-            SlotAsDouble(data[cols[c]][r], t->columns[cols[c]].type));
-      }
-      out->rows.push_back(std::move(row));
+    out->bytes_decoded += cols.size() * footer.row_count * sizeof(std::uint64_t);
+    std::vector<const std::uint64_t*> data;
+    for (const std::uint32_t c : f.cols) {
+      data.push_back(cols[SegmentFooter::DataCol(c)].data());
     }
+    AppendMatchingRows(f, footer.row_count,
+                       cols[SegmentFooter::kTsCol].data(),
+                       cols[SegmentFooter::kNodeCol].data(), data, &out->rows);
   }
-  if (t->active != nullptr) {
-    const SegmentBuilder& seg = *t->active;
-    for (std::size_t r = 0; r < seg.row_count(); ++r) {
-      const TimeNs ts = seg.ts()[r];
-      const std::uint64_t node = seg.nodes()[r];
-      if (ts < q.t0 || ts > q.t1) continue;
-      if (!node_filter.empty() && !SortedContains(node_filter, node)) continue;
-      TsdbQueryRow row;
-      row.ts = ts;
-      row.node = node;
-      row.values.reserve(cols.size());
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        row.values.push_back(
-            SlotAsDouble(seg.column(cols[c])[r], t->columns[cols[c]].type));
-      }
-      out->rows.push_back(std::move(row));
-    }
-  }
+  if (t->active != nullptr) ScanActive(*t->active, f, &out->rows);
   return Status::Ok();
 }
 
@@ -706,17 +668,15 @@ Status TsdbStore::QueryRollup(const TsdbQuery& q,
   if (t == nullptr) {
     return {ErrorCode::kNotFound, "store_tsdb: no table '" + q.table + "'"};
   }
-  std::vector<std::uint32_t> cols;
+  RowFilter f;
   std::vector<std::string> names;
-  Status st = ResolveColumns(*t, q.metrics, &cols, &names);
+  Status st = MakeFilter(*t, q, &f, &names);
   if (!st.ok()) return st;
-  std::vector<std::uint64_t> node_filter(q.nodes);
-  std::sort(node_filter.begin(), node_filter.end());
   for (const auto& [key, accs] : t->rollups) {
     const auto& [node, bucket] = key;
     if (bucket + opts_.rollup_granularity <= q.t0 || bucket > q.t1) continue;
-    if (!node_filter.empty() && !SortedContains(node_filter, node)) continue;
-    for (const std::uint32_t col : cols) {
+    if (!f.nodes.empty() && !SortedContains(f.nodes, node)) continue;
+    for (const std::uint32_t col : f.cols) {
       if (col >= accs.size()) continue;
       const RollupAccum& acc = accs[col];
       if (acc.count == 0) continue;

@@ -20,12 +20,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "core/query.hpp"
 #include "store/store.hpp"
 #include "store/tsdb/segment.hpp"
 #include "util/clock.hpp"
@@ -47,38 +49,6 @@ struct TsdbOptions {
   /// what the simulation harness uses. Results are identical either way;
   /// the pool only changes wall-clock.
   std::size_t scan_threads = 0;
-};
-
-/// A time-range × node-set × metric query.
-struct TsdbQuery {
-  std::string table;
-  TimeNs t0 = 0;
-  TimeNs t1 = ~TimeNs{0};
-  std::vector<std::uint64_t> nodes;   ///< empty = all nodes
-  std::vector<std::string> metrics;   ///< empty = all columns
-};
-
-struct TsdbQueryRow {
-  TimeNs ts = 0;
-  std::uint64_t node = 0;
-  std::vector<double> values;  ///< one per result column
-};
-
-struct TsdbQueryResult {
-  std::vector<std::string> columns;
-  std::vector<TsdbQueryRow> rows;
-  /// Index effectiveness: sealed segments considered, pruned by the footer
-  /// index without touching the body, and actually read.
-  std::uint64_t segments_considered = 0;
-  std::uint64_t segments_pruned = 0;
-  std::uint64_t segments_read = 0;
-  /// Encoded column bytes fetched from disk (0 for the active in-memory
-  /// segment). With compressed segments this is the on-disk cost...
-  std::uint64_t bytes_read = 0;
-  /// ...and this is the uncompressed slot bytes those reads decoded into;
-  /// bytes_decoded / bytes_read is the effective compression ratio the
-  /// query enjoyed (equal when every column was raw).
-  std::uint64_t bytes_decoded = 0;
 };
 
 /// One rollup bucket for one (metric, node).
@@ -163,20 +133,35 @@ class TsdbStore final : public Store {
   void AttachExistingLocked();
   void LoadRollupFileLocked(const std::string& path);
   const Table* FindTableLocked(const std::string& name) const;
-  Status ResolveColumns(const Table& t, const std::vector<std::string>& want,
-                        std::vector<std::uint32_t>* idx,
-                        std::vector<std::string>* names) const;
+  /// One query's row predicate and result-column layout.
+  struct RowFilter {
+    TimeNs t0 = 0;
+    TimeNs t1 = 0;
+    std::vector<std::uint64_t> nodes;  ///< sorted; empty = all nodes
+    std::vector<std::uint32_t> cols;   ///< table column per result column
+    std::vector<MetricType> types;     ///< type per result column
+  };
+  /// Resolve @p q against @p t: result column names into @p columns, the
+  /// rest into @p f. Fails on an unknown metric.
+  static Status MakeFilter(const Table& t, const TsdbQuery& q, RowFilter* f,
+                           std::vector<std::string>* columns);
+  /// The one row loop of every query path: append the rows of a decoded
+  /// segment that pass @p f, with data[c] the column of result column c.
+  static void AppendMatchingRows(const RowFilter& f, std::size_t row_count,
+                                 const std::uint64_t* ts,
+                                 const std::uint64_t* nodes,
+                                 std::span<const std::uint64_t* const> data,
+                                 std::vector<TsdbQueryRow>* rows);
+  /// Filter the in-memory active segment (caller holds mu_).
+  static void ScanActive(const SegmentBuilder& seg, const RowFilter& f,
+                         std::vector<TsdbQueryRow>* rows);
   /// Decode + filter one sealed segment (no store locks held; sealed files
   /// are immutable). Uses thread_local scratch buffers so pool workers
   /// recycle their decode allocations across segments.
-  Status ScanSealedSegment(const Sealed& seg,
-                           const std::vector<std::uint32_t>& cols,
-                           const std::vector<MetricType>& types, TimeNs t0,
-                           TimeNs t1,
-                           const std::vector<std::uint64_t>& node_filter,
-                           std::vector<TsdbQueryRow>* rows,
-                           std::uint64_t* bytes_read,
-                           std::uint64_t* bytes_decoded) const;
+  static Status ScanSealedSegment(const Sealed& seg, const RowFilter& f,
+                                  std::vector<TsdbQueryRow>* rows,
+                                  std::uint64_t* bytes_read,
+                                  std::uint64_t* bytes_decoded);
 
   TsdbOptions opts_;
   std::string name_ = "store_tsdb";

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   TsdbQuery query;
   bool rollup = false;
   bool full_scan = false;
-  bool verbose = false;
   bool stats = false;
   std::string format = "tsv";
   for (int i = 1; i < argc; ++i) {
@@ -104,10 +103,7 @@ int main(int argc, char** argv) {
       if (format != "tsv" && format != "csv" && format != "json") {
         return Usage(argv[0]);
       }
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "-v") {
-      verbose = true;
+    } else if (arg == "--stats" || arg == "-v") {
       stats = true;
     } else {
       return Usage(argv[0]);
@@ -241,6 +237,5 @@ int main(int argc, char** argv) {
                    ratio, result.rows.size());
     }
   }
-  (void)verbose;
   return 0;
 }

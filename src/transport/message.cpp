@@ -179,8 +179,6 @@ std::vector<std::byte> EncodeQueryRequest(const QueryRequest& msg) {
   w.U32(static_cast<std::uint32_t>(msg.metrics.size()));
   for (const auto& m : msg.metrics) w.Str(m);
   w.U32(msg.limit);
-  // Trailing version byte; v0 decoders stop at limit and ignore it.
-  w.U8(msg.version);
   return w.Take();
 }
 
@@ -206,7 +204,6 @@ bool DecodeQueryRequest(std::span<const std::byte> payload, QueryRequest* out) {
     out->metrics.push_back(r.Str());
   }
   out->limit = r.U32();
-  out->version = r.ok() && r.remaining() >= 1 ? r.U8() : 0;
   return r.ok();
 }
 
@@ -229,8 +226,6 @@ std::vector<std::byte> EncodeQueryResponse(const QueryResponse& msg) {
   w.U64(msg.segments_read);
   w.U64(msg.bytes_read);
   w.U64(msg.bytes_decoded);
-  // Trailing version byte; v0 decoders stop at the counters and ignore it.
-  w.U8(msg.version);
   return w.Take();
 }
 
@@ -253,7 +248,7 @@ bool DecodeQueryResponse(std::span<const std::byte> payload,
   out->rows.clear();
   out->rows.reserve(nrows);
   for (std::uint32_t i = 0; i < nrows && r.ok(); ++i) {
-    QueryResponse::Row row;
+    TsdbQueryRow row;
     row.ts = r.U64();
     row.node = r.U64();
     row.values.reserve(ncols);
@@ -267,7 +262,6 @@ bool DecodeQueryResponse(std::span<const std::byte> payload,
   out->segments_read = r.U64();
   out->bytes_read = r.U64();
   out->bytes_decoded = r.U64();
-  out->version = r.ok() && r.remaining() >= 1 ? r.U8() : 0;
   return r.ok();
 }
 

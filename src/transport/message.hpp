@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query.hpp"
 #include "core/wire.hpp"
 #include "util/status.hpp"
 
@@ -125,25 +126,17 @@ struct UpdateBatchResponse {
   std::vector<Entry> entries;
 };
 
-/// Tree-sharded query fan-out (ISSUE 10): the root aggregator forwards a
-/// tsdb predicate to each leaf, which runs it against its local store and
+/// Tree-sharded query fan-out: the root aggregator forwards a tsdb
+/// predicate to each leaf, which runs it against its local store and
 /// answers with a bounded page of rows. Wire form:
 ///   str strgp | str table | u64 t0 | u64 t1 |
-///   u32 nnodes | nnodes x u64 | u32 nmetrics | nmetrics x str |
-///   u32 limit | [u8 version]
-/// Old decoders stop at limit and ignore the trailing version byte; its
-/// absence decodes as version 0.
-struct QueryRequest {
+///   u32 nnodes | nnodes x u64 | u32 nmetrics | nmetrics x str | u32 limit
+/// Bytes past limit are ignored.
+struct QueryRequest : TsdbQuery {
   std::string strgp;  ///< storage policy name the store is registered under
-  std::string table;
-  std::uint64_t t0 = 0;
-  std::uint64_t t1 = ~std::uint64_t{0};
-  std::vector<std::uint64_t> nodes;   ///< empty = all nodes
-  std::vector<std::string> metrics;   ///< empty = all columns
   /// Row cap for the response page; 0 = the server's default cap. The server
   /// never exceeds its own kMaxQueryRespRows regardless.
   std::uint32_t limit = 0;
-  std::uint8_t version = 0;
 };
 
 /// Hard server-side ceiling on rows in one kQueryResp page; a fan-out over
@@ -157,27 +150,15 @@ constexpr std::uint32_t kMaxQueryRespRows = 65536;
 ///   u32 nrows | nrows x (u64 ts, u64 node, ncols x f64) |
 ///   u64 total_rows | u8 truncated |
 ///   u64 segments_considered | u64 segments_pruned | u64 segments_read |
-///   u64 bytes_read | u64 bytes_decoded | [u8 version]
-struct QueryResponse {
-  struct Row {
-    std::uint64_t ts = 0;
-    std::uint64_t node = 0;
-    std::vector<double> values;  ///< one per column
-  };
+///   u64 bytes_read | u64 bytes_decoded
+/// Bytes past bytes_decoded are ignored.
+struct QueryResponse : TsdbQueryResult {
   std::uint8_t code = 0;  // ErrorCode as u8; non-zero => rows empty
   std::string error;
-  std::vector<std::string> columns;
-  std::vector<Row> rows;
   /// Rows the predicate matched on this leaf (>= rows.size(); they differ
   /// exactly when truncated is set).
   std::uint64_t total_rows = 0;
   std::uint8_t truncated = 0;
-  std::uint64_t segments_considered = 0;
-  std::uint64_t segments_pruned = 0;
-  std::uint64_t segments_read = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_decoded = 0;
-  std::uint8_t version = 0;
 };
 
 struct AdvertiseMsg {

@@ -1,5 +1,5 @@
 // Property-based suites: wire-protocol robustness under fuzzed/truncated
-// input, ByteWriter/ByteReader round trips, SOS time-range query counts,
+// input, ByteWriter/ByteReader round trips, tsdb time-range query counts,
 // scheduler firing-count arithmetic, and MetricSet seqlock snapshot
 // integrity under a concurrent writer.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 #include "core/wire.hpp"
 #include "daemon/scheduler.hpp"
 #include "daemon/topology.hpp"
-#include "store/sos_store.hpp"
+#include "store/tsdb/tsdb_store.hpp"
 #include "transport/message.hpp"
 #include "util/rng.hpp"
 
@@ -135,6 +135,54 @@ TEST_P(WireFuzzTest, StrictPrefixOfPullResponsesRejected) {
   ASSERT_EQ(batch_out.entries.size(), entries);
   ExpectStrictPrefixesRejected<UpdateBatchResponse>(batch_wire,
                                                     DecodeUpdateBatchResponse);
+
+  // The query fan-out frames have no optional field either.
+  auto random_name = [&rng] {
+    return std::string(rng.NextBelow(12),
+                       static_cast<char>('a' + rng.NextBelow(26)));
+  };
+
+  QueryRequest req;
+  req.strgp = random_name();
+  req.table = random_name();
+  req.t0 = rng.Next();
+  req.t1 = rng.Next();
+  for (std::size_t i = rng.NextBelow(5); i > 0; --i) {
+    req.nodes.push_back(rng.Next());
+  }
+  for (std::size_t i = rng.NextBelow(4); i > 0; --i) {
+    req.metrics.push_back(random_name());
+  }
+  req.limit = static_cast<std::uint32_t>(rng.Next());
+  const auto req_wire = EncodeQueryRequest(req);
+  QueryRequest req_out;
+  ASSERT_TRUE(DecodeQueryRequest(req_wire, &req_out));
+  EXPECT_EQ(req_out.nodes, req.nodes);
+  EXPECT_EQ(req_out.metrics, req.metrics);
+  EXPECT_EQ(req_out.limit, req.limit);
+  ExpectStrictPrefixesRejected<QueryRequest>(req_wire, DecodeQueryRequest);
+
+  QueryResponse resp;
+  for (std::size_t i = rng.NextBelow(4); i > 0; --i) {
+    resp.columns.push_back(random_name());
+  }
+  for (std::size_t i = rng.NextBelow(6); i > 0; --i) {
+    TsdbQueryRow& row = resp.rows.emplace_back();
+    row.ts = rng.Next();
+    row.node = rng.Next();
+    for (std::size_t c = 0; c < resp.columns.size(); ++c) {
+      row.values.push_back(static_cast<double>(rng.Next()));
+    }
+  }
+  resp.total_rows = resp.rows.size() + rng.NextBelow(100);
+  resp.truncated = resp.total_rows > resp.rows.size() ? 1 : 0;
+  resp.bytes_decoded = rng.Next();
+  const auto resp_wire = EncodeQueryResponse(resp);
+  QueryResponse resp_out;
+  ASSERT_TRUE(DecodeQueryResponse(resp_wire, &resp_out));
+  EXPECT_EQ(resp_out.rows.size(), resp.rows.size());
+  EXPECT_EQ(resp_out.bytes_decoded, resp.bytes_decoded);
+  ExpectStrictPrefixesRejected<QueryResponse>(resp_wire, DecodeQueryResponse);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzTest, ::testing::Range(0, 8));
@@ -182,17 +230,17 @@ TEST(ByteRwTest, RandomSequenceRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// SOS query counts
+// tsdb query counts
 // ---------------------------------------------------------------------------
 
-class SosQueryPropertyTest : public ::testing::TestWithParam<int> {};
+class TsdbQueryPropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SosQueryPropertyTest, VisitedCountMatchesTimestampFilter) {
+TEST_P(TsdbQueryPropertyTest, RowCountMatchesTimestampFilter) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 31337 + 5);
   const auto dir = std::filesystem::temp_directory_path() /
-                   ("ldmsxx_sosq_" + std::to_string(::getpid()) + "_" +
+                   ("ldmsxx_tsdbq_" + std::to_string(::getpid()) + "_" +
                     std::to_string(GetParam()));
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
 
   MemManager mem(1 << 20);
   Schema schema("q");
@@ -201,44 +249,59 @@ TEST_P(SosQueryPropertyTest, VisitedCountMatchesTimestampFilter) {
   auto set = MetricSet::Create(mem, schema, "n/q", "n", 1, &st);
   ASSERT_TRUE(st.ok());
 
-  SosStore store({dir.string()});
-  // Strictly increasing but irregular timestamps.
+  TsdbOptions opts;
+  opts.root_path = dir.string();
+  opts.segment_rows = 1 + rng.NextBelow(32);  // sealed segments + active
+  TsdbStore store(opts);
+  // Strictly increasing but irregular timestamps, on microsecond ticks (the
+  // set header's resolution).
   std::vector<TimeNs> stamps;
   TimeNs t = 0;
   const std::size_t records = 1 + rng.NextBelow(300);
   for (std::size_t i = 0; i < records; ++i) {
-    t += 1 + rng.NextBelow(5 * kNsPerSec);
+    t += (1 + rng.NextBelow(5 * kNsPerSec / kNsPerUs)) * kNsPerUs;
     stamps.push_back(t);
     set->BeginTransaction();
     set->SetU64(0, i);
     set->EndTransaction(t);
     ASSERT_TRUE(store.StoreSet(*set).ok());
   }
-  ASSERT_TRUE(store.Flush().ok());
-  const std::string path = store.FilePath("q");
 
   for (int probe = 0; probe < 20; ++probe) {
-    TimeNs lo = rng.NextBelow(t + kNsPerSec);
-    TimeNs hi = rng.NextBelow(t + kNsPerSec);
-    if (lo > hi) std::swap(lo, hi);
+    TsdbQuery q;
+    q.table = "q";
+    q.t0 = rng.NextBelow(t + kNsPerSec);
+    q.t1 = rng.NextBelow(t + kNsPerSec);
+    if (q.t0 > q.t1) std::swap(q.t0, q.t1);
+    // Inclusive window; the set's own node, or one it never wrote.
+    const std::uint64_t node_pick = rng.NextBelow(3);
+    if (node_pick > 0) q.nodes = {node_pick};
     std::size_t expected = 0;
     for (TimeNs s : stamps) {
-      if (s >= lo && s < hi) ++expected;
+      if (s >= q.t0 && s <= q.t1 && node_pick != 2) ++expected;
     }
-    std::size_t prev = 0;
-    bool ordered = true;
-    const std::size_t visited =
-        SosStore::Query(path, lo, hi, [&](const SosRecord& rec) {
-          if (rec.timestamp < prev) ordered = false;
-          prev = rec.timestamp;
-        });
-    EXPECT_EQ(visited, expected) << "range [" << lo << "," << hi << ")";
-    EXPECT_TRUE(ordered);
+    TsdbQueryResult indexed, scanned;
+    ASSERT_TRUE(store.Query(q, &indexed).ok());
+    ASSERT_TRUE(store.QueryFullScan(q, &scanned).ok());
+    EXPECT_EQ(indexed.rows.size(), expected)
+        << "range [" << q.t0 << "," << q.t1 << "]";
+    for (std::size_t i = 1; i < indexed.rows.size(); ++i) {
+      EXPECT_LT(indexed.rows[i - 1].ts, indexed.rows[i].ts);
+    }
+    ASSERT_EQ(scanned.rows.size(), indexed.rows.size());
+    for (std::size_t i = 0; i < indexed.rows.size(); ++i) {
+      EXPECT_EQ(indexed.rows[i].ts, scanned.rows[i].ts);
+      EXPECT_EQ(indexed.rows[i].node, scanned.rows[i].node);
+      EXPECT_EQ(indexed.rows[i].values, scanned.rows[i].values);
+    }
+    if (probe == 9) {
+      ASSERT_TRUE(store.Flush().ok());  // seal the tail too
+    }
   }
   std::filesystem::remove_all(dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SosQueryPropertyTest, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, TsdbQueryPropertyTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
 // Scheduler firing arithmetic

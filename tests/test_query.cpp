@@ -845,6 +845,9 @@ class DaemonQueryTest : public QueryTest {
     return std::make_unique<Ldmsd>(opts);
   }
 
+  /// Body of QueryVerbServesAcrossRestart for one store plugin name.
+  void ServeQueriesAcrossRestart(const std::string& plugin);
+
   std::string dir_;
   SimClock clock_{0};
 };
@@ -864,7 +867,18 @@ TEST_F(DaemonQueryTest, StrgpAddValidatesDecompAtConfigTime) {
 }
 
 TEST_F(DaemonQueryTest, QueryVerbServesAcrossRestart) {
+  // store_sos, the paper's queryable store, is served by store_tsdb: the
+  // same policy under either plugin name answers the same queries.
+  for (const std::string plugin : {"store_tsdb", "store_sos"}) {
+    SCOPED_TRACE(plugin);
+    ServeQueriesAcrossRestart(plugin);
+    if (HasFatalFailure()) return;
+  }
+}
+
+void DaemonQueryTest::ServeQueriesAcrossRestart(const std::string& plugin) {
   const std::string spec = "hot@active:act:delta,load;raw@free";
+  const std::string node = "q_" + plugin;
   auto ingest = [&](Ldmsd& daemon, std::uint64_t first, std::uint64_t count) {
     MetricSetPtr set = MakeSet("nid1", 1);
     for (std::uint64_t i = first; i < first + count; ++i) {
@@ -874,12 +888,13 @@ TEST_F(DaemonQueryTest, QueryVerbServesAcrossRestart) {
   };
 
   {
-    auto daemon = MakeDaemon("qnode");
+    auto daemon = MakeDaemon(node);
     ASSERT_TRUE(daemon->Start().ok());  // SimClock mode: no threads spawned
     ConfigProcessor config(*daemon);
     ASSERT_TRUE(config
-                    .Execute("strgp_add name=tsdb plugin=store_tsdb path=" +
-                             dir_ + "/tsdb segment_rows=4 rollup_sec=1 " +
+                    .Execute("strgp_add name=tsdb plugin=" + plugin +
+                             " path=" + dir_ + "/" + plugin +
+                             " segment_rows=4 rollup_sec=1 " +
                              "decomp=" + spec)
                     .ok());
     ingest(*daemon, 0, 10);
@@ -906,12 +921,12 @@ TEST_F(DaemonQueryTest, QueryVerbServesAcrossRestart) {
   // the registry alone and serves queries spanning both eras.
   {
     // The decomposition is registry provenance: it survived the shutdown.
-    ClusterRegistry registry(dir_ + "/qnode.registry");
+    ClusterRegistry registry(dir_ + "/" + node + ".registry");
     ASSERT_TRUE(registry.Load().ok());
     ASSERT_EQ(registry.snapshot().stores.size(), 1u);
     EXPECT_EQ(registry.snapshot().stores[0].decomp, spec);
   }
-  auto daemon = MakeDaemon("qnode");
+  auto daemon = MakeDaemon(node);
   ASSERT_TRUE(daemon->Start().ok());
   ASSERT_TRUE(
       daemon->RestoreFromRegistry(&PluginRegistry::Instance()).ok());
@@ -1037,7 +1052,6 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
   EXPECT_EQ(req2.nodes, req.nodes);
   EXPECT_EQ(req2.metrics, req.metrics);
   EXPECT_EQ(req2.limit, req.limit);
-  EXPECT_EQ(req2.version, 0);
 
   QueryResponse resp;
   resp.code = 0;
@@ -1062,6 +1076,12 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
   EXPECT_EQ(resp2.segments_pruned, 9u);
   EXPECT_EQ(resp2.bytes_decoded, 16384u);
 
+  // Bytes past the last field are ignored.
+  std::vector<std::byte> extended = EncodeQueryResponse(resp);
+  extended.push_back(std::byte{7});
+  ASSERT_TRUE(DecodeQueryResponse(extended, &resp2));
+  EXPECT_EQ(resp2.bytes_decoded, 16384u);
+
   // An error response round-trips its code and message.
   QueryResponse err;
   err.code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
@@ -1069,32 +1089,6 @@ TEST(QueryWireCodecTest, RequestAndResponseRoundTrip) {
   ASSERT_TRUE(DecodeQueryResponse(EncodeQueryResponse(err), &resp2));
   EXPECT_EQ(resp2.code, err.code);
   EXPECT_EQ(resp2.error, err.error);
-}
-
-TEST(QueryWireCodecTest, ToleratesMissingAndExtraTrailingVersionBytes) {
-  // Forward/backward compat contract: a v0 peer's frame (no trailing
-  // version byte) decodes as version 0, and bytes a future version appends
-  // past the byte we know are ignored, like the kUpdateBatch codec.
-  QueryRequest req;
-  req.strgp = "s";
-  req.version = 3;
-  std::vector<std::byte> enc = EncodeQueryRequest(req);
-  QueryRequest out;
-  ASSERT_TRUE(DecodeQueryRequest(enc, &out));
-  EXPECT_EQ(out.version, 3);
-  enc.pop_back();  // a v0 encoder stops at limit
-  ASSERT_TRUE(DecodeQueryRequest(enc, &out));
-  EXPECT_EQ(out.version, 0);
-
-  QueryResponse resp;
-  resp.version = 5;
-  std::vector<std::byte> renc = EncodeQueryResponse(resp);
-  QueryResponse rout;
-  ASSERT_TRUE(DecodeQueryResponse(renc, &rout));
-  EXPECT_EQ(rout.version, 5);
-  renc.pop_back();
-  ASSERT_TRUE(DecodeQueryResponse(renc, &rout));
-  EXPECT_EQ(rout.version, 0);
 }
 
 TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
@@ -1105,8 +1099,8 @@ TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
   req.metrics = {"free"};
   const std::vector<std::byte> enc = EncodeQueryRequest(req);
   QueryRequest out;
-  // Every truncation beyond the optional version byte fails; none crash.
-  for (std::size_t len = 0; len + 1 < enc.size(); ++len) {
+  // Every strict prefix fails; none crash.
+  for (std::size_t len = 0; len < enc.size(); ++len) {
     EXPECT_FALSE(DecodeQueryRequest({enc.data(), len}, &out)) << len;
   }
 
@@ -1125,7 +1119,7 @@ TEST(QueryWireCodecTest, RejectsTruncationAndHostileCounts) {
   resp.rows = {{1, 1, {1.0}}};
   const std::vector<std::byte> renc = EncodeQueryResponse(resp);
   QueryResponse rout;
-  for (std::size_t len = 0; len + 1 < renc.size(); ++len) {
+  for (std::size_t len = 0; len < renc.size(); ++len) {
     EXPECT_FALSE(DecodeQueryResponse({renc.data(), len}, &rout)) << len;
   }
   ByteWriter rw;

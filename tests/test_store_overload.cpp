@@ -23,7 +23,7 @@
 #include "store/fault_store.hpp"
 #include "store/flatfile_store.hpp"
 #include "store/memory_store.hpp"
-#include "store/sos_store.hpp"
+#include "store/tsdb/tsdb_store.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ldmsxx {
@@ -481,17 +481,25 @@ TEST_F(FileStoreErrorTest, FlatFileStoreReportsFailedWrites) {
   EXPECT_GE(store.rows_failed(), 1u);
 }
 
-TEST_F(FileStoreErrorTest, SosStoreReportsFailedWritesAndRecovers) {
-  SosStore store({bad_root_});
+TEST_F(FileStoreErrorTest, TsdbStoreReportsFailedWritesAndRecovers) {
+  TsdbOptions opts;
+  opts.root_path = bad_root_;
+  opts.segment_rows = 1;  // every append seals, so every append hits disk
+  TsdbStore store(opts);
   EXPECT_FALSE(store.StoreSet(*Sample(1)).ok());
   EXPECT_GE(store.rows_failed(), 1u);
-  // "Disk" repaired: the store retries the container open instead of caching
-  // the failure forever (required for breaker half-open probes to succeed).
+  // "Disk" repaired: the next append retries the seal instead of caching
+  // the failure forever (required for breaker half-open probes to succeed),
+  // and the row the failed seal kept in memory is not lost.
   fs::remove(base_ / "blocker");
   fs::create_directories(base_ / "blocker");
   EXPECT_TRUE(store.StoreSet(*Sample(2)).ok());
-  EXPECT_EQ(store.rows_written(), 1u);
   EXPECT_TRUE(store.Flush().ok());
+  TsdbQuery q;
+  q.table = "overload";
+  TsdbQueryResult result;
+  ASSERT_TRUE(store.Query(q, &result).ok());
+  EXPECT_EQ(result.rows.size(), 2u);
 }
 
 // --- fault schedule determinism ---------------------------------------------
